@@ -169,10 +169,10 @@ def forest_to_dot(queue):
     """Graphviz text for the forest: keys as labels, trees grouped by height."""
     lines = ["digraph forest {", "  node [shape=circle];"]
     idx = 0
-    for h in sorted(queue.forest.buckets):
+    for h, bucket in queue.forest.buckets.items():
         lines.append(f"  subgraph cluster_h{h} {{")
         lines.append(f'    label="height {h}";')
-        for root in queue.forest.buckets[h]:
+        for root in bucket:
             stack = [(root, None)]
             while stack:
                 node, parent_id = stack.pop()

@@ -1,13 +1,13 @@
-"""Height-indexed buckets of perfect trees and the digit-bound fix procedures.
+"""Height-indexed buckets of perfect trees and the digit-bound fix procedure.
 
-The forest is the queue's whole state: a map from height h to the list of
-trees of that height.  Read the bucket sizes as digits of a positional number
-system with place values 2**(h+1) - 1; fix() is then carry propagation, three
-same-height trees being traded for one taller tree (and two shorter ones)
-via the rearrangement step.
+The forest is the queue's whole state: a dense list whose entry h is the
+list of trees of height h.  Read the bucket sizes as digits of a positional
+number system with place values 2**(h+1) - 1 (Okasaki's skew binary
+numbers); fix() is then carry propagation, three same-height trees being
+traded for one taller tree (and two shorter ones) via the rearrangement step.
 
 Internally a bucket holds bare root nodes; the height lives once in the
-bucket key instead of once per tree, which keeps the carry path free of
+list index instead of once per tree, which keeps the carry path free of
 wrapper churn.  PerfectTree views are materialized where callers want whole
 trees (iteration, validation).
 """
@@ -49,30 +49,33 @@ class FixPolicy:
 
 
 class Forest:
-    """Buckets of perfect trees keyed by height.
+    """Buckets of perfect trees indexed by height.
 
-    Buckets are stored sparsely; an absent height is a zero digit.  Lists
-    keep insertion order, and all scheduling below is deterministic, so
-    identical operation sequences produce identical forests.
+    roots[h] lists the root nodes of the height-h trees, for every h up to
+    the tallest tree; an empty list is a zero digit, and the last list is
+    never empty.  Lists keep insertion order, and all scheduling below is
+    deterministic, so identical operation sequences produce identical
+    forests.
     """
 
-    __slots__ = ("buckets", "size", "policy", "_overfull")
+    __slots__ = ("roots", "size", "policy")
 
     def __init__(self, policy=None):
-        self.buckets = {}
+        self.roots = []
         self.size = 0
         self.policy = policy if policy is not None else FixPolicy()
-        self._overfull = set()  # heights whose digit is >= 3, kept exact
+
+    @property
+    def buckets(self):
+        """Read-only map from each nonempty height to its list of roots."""
+        return {h: bucket for h, bucket in enumerate(self.roots) if bucket}
 
     def add_root(self, root, height):
         """File a root node under its height.  Never triggers fixing."""
-        bucket = self.buckets.get(height)
-        if bucket is None:
-            self.buckets[height] = [root]
-        else:
-            bucket.append(root)
-            if len(bucket) == 3:
-                self._overfull.add(height)
+        roots = self.roots
+        while len(roots) <= height:
+            roots.append([])
+        roots[height].append(root)
         self.size += (1 << (height + 1)) - 1
 
     def add_tree(self, tree):
@@ -81,51 +84,42 @@ class Forest:
 
     def remove_root(self, height, index):
         """Take the root at (height, bucket position) out of the forest."""
-        bucket = self.buckets[height]
-        root = bucket.pop(index)
-        if not bucket:
-            del self.buckets[height]
-        if len(bucket) < 3:
-            self._overfull.discard(height)
+        roots = self.roots
+        root = roots[height].pop(index)
+        while roots and not roots[-1]:
+            roots.pop()
         self.size -= (1 << (height + 1)) - 1
         return root
 
     def find_root(self, root):
         """Locate the tree rooted at this node; returns (height, index)."""
-        for h, bucket in self.buckets.items():
-            for i, node in enumerate(bucket):
-                if node is root:
-                    return h, i
+        for h, bucket in enumerate(self.roots):
+            if root in bucket:
+                return h, bucket.index(root)
         raise ContractViolation("node does not root any tree of this forest")
 
     def digit(self, height):
         """Number of trees of the given height (0 when absent)."""
-        bucket = self.buckets.get(height)
-        return len(bucket) if bucket else 0
+        return len(self.roots[height]) if height < len(self.roots) else 0
 
     def digits(self):
         """Dense digit vector from height 0 up to the tallest present tree."""
-        if not self.buckets:
-            return []
-        top = max(self.buckets)
-        return [self.digit(h) for h in range(top + 1)]
+        return [len(bucket) for bucket in self.roots]
 
     def max_digit(self):
-        if not self.buckets:
-            return 0
-        return max(len(b) for b in self.buckets.values())
+        return max(map(len, self.roots), default=0)
 
     def tree_count(self):
-        return sum(len(b) for b in self.buckets.values())
+        return sum(map(len, self.roots))
 
     def height_sum(self):
         """The potential: sum of heights over all trees in the forest."""
-        return sum(h * len(b) for h, b in self.buckets.items())
+        return sum(h * len(bucket) for h, bucket in enumerate(self.roots))
 
     def trees(self):
         """All trees as PerfectTree views, height ascending, bucket order."""
-        for h in sorted(self.buckets):
-            for root in self.buckets[h]:
+        for h, bucket in enumerate(self.roots):
+            for root in bucket:
                 yield PerfectTree(root, h)
 
     def scan_min(self, less):
@@ -141,92 +135,87 @@ class Forest:
         seen = 0
         best = None
         best_key = None
-        for h in sorted(self.buckets):
-            bucket = self.buckets[h]
+        best_h = 0
+        for h, bucket in enumerate(self.roots):
             seen += len(bucket)
-            i = 0
             for root in bucket:
                 key = root.key
                 if best is None or raw(key, best_key):
-                    best = (h, i, root)
+                    best = root
                     best_key = key
-                i += 1
+                    best_h = h
         less.count += seen - 1
-        return best
+        return best_h, self.roots[best_h].index(best), best
 
-    def _carry_at(self, h, less, on_rearrange):
-        """One carry: rearrange the first three trees of bucket h (FIFO)."""
-        bucket = self.buckets[h]
-        r1 = bucket[0]
-        r2 = bucket[1]
-        r3 = bucket[2]
-        del bucket[:3]
-        if not bucket:
-            del self.buckets[h]
-        if len(bucket) < 3:
-            self._overfull.discard(h)
-        less.count += 2
-        top, old_left, old_right = rearrange_roots(r1, r2, r3, less.raw_less)
-        above = self.buckets.get(h + 1)
-        if above is None:
-            self.buckets[h + 1] = [top]
-        else:
-            above.append(top)
-            if len(above) >= 3:
-                self._overfull.add(h + 1)
-        if old_left is not None:
-            below = self.buckets.get(h - 1)
-            if below is None:
-                self.buckets[h - 1] = [old_left, old_right]
-            else:
-                below.append(old_left)
-                below.append(old_right)
-                if len(below) >= 3:
-                    self._overfull.add(h - 1)
-            if on_rearrange is not None:
-                on_rearrange(h, 3 * h - 1)  # (h+1) + 2(h-1)
-        elif on_rearrange is not None:
-            on_rearrange(h, 1)  # three singletons became one height-1 tree
-
-    def fix(self, less, on_rearrange=None):
+    def fix(self, less, ledger=None):
         """Restore the policy's digit bound; returns carries performed.
 
-        less must be a counting comparator (the carries charge their two
-        comparisons in bulk).  Always fixes the lowest qualifying height
-        first, mirroring carry propagation in a positional number system.
-        on_rearrange, when given, is called after each carry with (input
-        height, sum of the three output trees' heights) so callers can
-        account potential changes from ground truth.
+        One lowest-first scan serves both policies: it carries at the lowest
+        height whose digit reaches the threshold (the first three trees of
+        the bucket, FIFO), then resumes at the height below, the lowest one
+        the carry can have pushed over.  The threshold is 3; under the
+        relaxed policy it becomes 5, and the scan restarts from height 0,
+        once relaxed_budget carries are done.
+
+        Each carry compares its three roots before it unlinks them, so a
+        comparator that raises leaves every tree in the forest.  less must
+        be a counting comparator: the two comparisons per carry are charged
+        in bulk.  ledger, when given, is charged once per call with the
+        carry count and their net height-sum change (-1 per carry at height
+        h >= 1, +1 per carry of three singletons), and gets one (h, delta)
+        event per carry when it keeps events.
         """
+        roots = self.roots
+        raw = less.raw_less
+        events = ledger.events if ledger is not None else None
+        budget = self.policy.relaxed_budget if self.policy.mode == RELAXED else 0
+        threshold = 3
         done = 0
-        overfull = self._overfull
-        if self.policy.mode == EAGER:
-            while overfull:
-                self._carry_at(min(overfull), less, on_rearrange)
+        delta = 0
+        h = 0
+        try:
+            while h < len(roots):
+                bucket = roots[h]
+                if len(bucket) < threshold:
+                    h += 1
+                    continue
+                top, left, right = rearrange_roots(bucket[0], bucket[1],
+                                                   bucket[2], raw)
+                del bucket[:3]
+                if h + 1 < len(roots):
+                    roots[h + 1].append(top)
+                else:
+                    roots.append([top])
+                if left is None:
+                    delta += 1
+                    if events is not None:
+                        events.append((0, 1))
+                else:
+                    below = roots[h - 1]
+                    below.append(left)
+                    below.append(right)
+                    delta -= 1
+                    if events is not None:
+                        events.append((h, -1))
+                    h -= 1
                 done += 1
-            return done
-        for _ in range(self.policy.relaxed_budget):
-            if not overfull:
-                return done
-            self._carry_at(min(overfull), less, on_rearrange)
-            done += 1
-        while True:
-            h5 = -1
-            for h in overfull:
-                if len(self.buckets[h]) >= 5 and (h5 < 0 or h < h5):
-                    h5 = h
-            if h5 < 0:
-                return done
-            self._carry_at(h5, less, on_rearrange)
-            done += 1
+                if done == budget:
+                    threshold = 5
+                    h = 0
+        finally:
+            less.count += 2 * done
+            if done and ledger is not None:
+                ledger.record_rearrangement(done, delta)
+        return done
 
     def validate(self, less=operator.lt, full=True):
         """Diagnostics for bucket bookkeeping and (optionally) every tree."""
         problems = []
+        if self.roots and not self.roots[-1]:
+            problems.append(
+                f"empty bucket kept at height {len(self.roots) - 1}")
         total = 0
-        for h, bucket in self.buckets.items():
-            if not bucket:
-                problems.append(f"empty bucket kept at height {h}")
+        for h, bucket in enumerate(self.roots):
             if len(bucket) > self.policy.digit_bound:
                 problems.append(
                     f"digit {len(bucket)} at height {h} exceeds bound "
@@ -234,11 +223,6 @@ class Forest:
             total += len(bucket) * ((1 << (h + 1)) - 1)
         if total != self.size:
             problems.append(f"size {self.size}, but trees hold {total} elements")
-        actual_overfull = {h for h, b in self.buckets.items() if len(b) >= 3}
-        if actual_overfull != self._overfull:
-            problems.append(
-                f"overfull cache {sorted(self._overfull)} != actual "
-                f"{sorted(actual_overfull)}")
         if full:
             for tree in self.trees():
                 problems.extend(validate_tree(tree, less))

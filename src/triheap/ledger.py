@@ -1,17 +1,17 @@
 """Potential accounting that machine-checks the amortized analysis.
 
 The potential phi is the sum of the heights of the trees in the forest.
-Every delta the ledger applies is computed from actual before/after tree
-heights, never from the idealized "each rearrangement drops phi by one":
-that rule holds for input heights h >= 1 but fails for three singletons,
-which collapse into one height-1 tree and *raise* the height sum by one.
-The uniform drop is therefore asserted by tests for h >= 1 only, while the
-ledger itself stays exact in all cases.
+Forest.fix charges its carries here once per call, as a count and a net
+height-sum change: a carry at input height h >= 1 trades three height-h
+trees for one of height h+1 and two of height h-1, dropping phi by one,
+while three singletons collapse into one height-1 tree and *raise* phi by
+one.  The audit recomputes the height sum from the live forest, so a wrong
+delta anywhere shows up as drift.
 
-Amortized bookkeeping: each rearrangement's charge is its ground-truth delta
-plus one (so a regular carry nets zero and a singleton carry nets two), and
-structural changes are charged at face value.  contribution_sum accumulates
-those charges, giving the exact identity
+Amortized bookkeeping: each rearrangement's charge is its delta plus one (so
+a regular carry nets zero and a singleton carry nets two), and structural
+changes are charged at face value.  contribution_sum accumulates those
+charges, giving the exact identity
 
     rearrangements == contribution_sum - phi
 
@@ -45,7 +45,8 @@ class PotentialLedger:
     """Running phi, rearrangement count, comparison count, per-op records.
 
     Record keeping is optional: keep_records stores one OpRecord per public
-    operation, keep_events one (input_height, delta) pair per rearrangement.
+    operation, keep_events one (input_height, delta) pair per rearrangement,
+    appended by Forest.fix.
     The aggregate counters are always maintained and always exact.
     """
 
@@ -63,18 +64,15 @@ class PotentialLedger:
         self.records = [] if keep_records else None
         self.events = [] if keep_events else None
 
-    def record_rearrangement(self, input_height, output_height_sum):
-        """Account one rearrangement from its actual input/output heights."""
-        delta = output_height_sum - 3 * input_height
-        self.rearrangements += 1
+    def record_rearrangement(self, count, delta):
+        """Account one fix call: count rearrangements moving phi by delta."""
+        self.rearrangements += count
         self.rearrangement_delta_sum += delta
-        self.contribution_sum += delta + 1
+        self.contribution_sum += delta + count
         self.phi += delta
         if self.phi < 0:
-            raise LedgerError(f"phi underflow: {self.phi} after rearrangement "
-                              f"at height {input_height}")
-        if self.events is not None:
-            self.events.append((input_height, delta))
+            raise LedgerError(f"phi underflow: {self.phi} after "
+                              f"{count} rearrangement(s)")
 
     def record_structural(self, op, delta):
         """Account a public operation's non-rearrangement height change.

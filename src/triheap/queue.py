@@ -57,8 +57,7 @@ class Queue:
         return node
 
     def _run_fix(self):
-        fixes = self.forest.fix(self.comparator,
-                                self.ledger.record_rearrangement)
+        fixes = self.forest.fix(self.comparator, self.ledger)
         self.fix_total += fixes
         return fixes
 
@@ -133,15 +132,19 @@ class Queue:
     def delete(self, handle):
         """Remove the element behind handle.
 
-        Its content is hoisted to its tree's root without any comparison
-        (treated as below every key), then the root is split off exactly as
-        in delete_min.
+        The handle's tree must belong to this queue; that is checked before
+        anything moves.  Its content is then hoisted to the tree's root
+        without any comparison (treated as below every key), and the root
+        is split off exactly as in delete_min.
         """
         self._require_alive()
         node = self._live_node(handle)
         c0 = self.comparator.count
-        root = sift_to_root(node)
+        root = node
+        while root.parent is not None:
+            root = root.parent
         h, index = self.forest.find_root(root)
+        sift_to_root(node)
         self.forest.remove_root(h, index)
         left, right = detach_root(root)
         if left is not None:
@@ -173,8 +176,8 @@ class Queue:
         if not shared and other.comparator.raw_less is not self.comparator.raw_less:
             raise ContractViolation("meld across different comparators")
         c0 = self.comparator.count + (0 if shared else other.comparator.count)
-        for h in sorted(other.forest.buckets):
-            for root in other.forest.buckets[h]:
+        for h, bucket in enumerate(other.forest.roots):
+            for root in bucket:
                 self.forest.add_root(root, h)
         if not shared:
             self.comparator.count += other.comparator.count

@@ -3,40 +3,108 @@
 import pytest
 
 from triheap.errors import LedgerError
-from triheap.forest import FixPolicy
+from triheap.forest import FixPolicy, Forest
 from triheap.ledger import PotentialLedger
 from triheap.queue import Queue
+from triheap.tree import CountingComparator, make_singleton
 from triheap.workload import QueueRunner, generate_script
+
+from conftest import build_perfect_heap
+
+
+class CallCountingLedger(PotentialLedger):
+    __slots__ = ("calls",)
+
+    def __init__(self):
+        super().__init__(keep_events=True)
+        self.calls = 0
+
+    def record_rearrangement(self, count, delta):
+        self.calls += 1
+        super().record_rearrangement(count, delta)
+
+
+def fix_with_ledger(forest):
+    """Charge the forest's height sum to a fresh ledger, then fix."""
+    ledger = CallCountingLedger()
+    ledger.record_structural("adopt", forest.height_sum())
+    forest.fix(CountingComparator(), ledger)
+    return ledger
 
 
 def test_rearrangement_at_height_two_drops_one():
     led = PotentialLedger()
     led.record_structural("adopt", 6)
-    led.record_rearrangement(2, 3 * 2 - 1)
+    led.record_rearrangement(1, -1)
     assert led.phi == 5
     assert led.rearrangements == 1
+    assert led.contribution_sum == 6
+
+
+@pytest.mark.parametrize("height", [1, 2, 3])
+def test_tall_carry_lowers_height_sum_by_one(rng, height):
+    size = (1 << (height + 1)) - 1
+    f = Forest()
+    for i in range(3):
+        f.add_tree(build_perfect_heap(range(100 * i, 100 * i + size), rng))
+    before = f.height_sum()
+    ledger = fix_with_ledger(f)
+    assert f.height_sum() == before - 1
+    assert ledger.phi == f.height_sum()
+    assert ledger.events == [(height, -1)]
+
+
+def test_cascade_is_charged_once_per_fix(rng):
+    # A carry at height 1 drops two height-0 trees onto the two already
+    # there, so a singleton carry follows: net change -1 + 1.
+    f = Forest()
+    for k in (100, 200):
+        f.add_tree(make_singleton(k))
+    for i in range(3):
+        f.add_tree(build_perfect_heap(range(10 * i, 10 * i + 3), rng))
+    before = f.height_sum()
+    ledger = fix_with_ledger(f)
+    assert ledger.calls == 1
+    assert ledger.rearrangements == 2
+    assert ledger.events == [(1, -1), (0, 1)]
+    assert ledger.rearrangement_delta_sum == 0
+    assert f.height_sum() == before
+    assert ledger.phi == f.height_sum()
+    assert ledger.audit(f) == []
 
 
 def test_three_drops_from_three():
     led = PotentialLedger()
     led.record_structural("adopt", 3)
-    for h in (1, 1, 1):
-        led.record_rearrangement(h, 3 * h - 1)
+    led.record_rearrangement(3, -3)
     assert led.phi == 0
     assert led.rearrangements == 3
+    assert led.contribution_sum == 3  # three regular carries net zero
 
 
 def test_singleton_rearrangement_raises_phi():
-    led = PotentialLedger()
-    led.record_rearrangement(0, 1)
-    assert led.phi == 1
-    assert led.rearrangement_delta_sum == 1
+    f = Forest()
+    for k in range(3):
+        f.add_tree(make_singleton(k))
+    ledger = fix_with_ledger(f)
+    assert f.height_sum() == 1
+    assert ledger.phi == 1
+    assert ledger.rearrangement_delta_sum == 1
+    assert ledger.events == [(0, 1)]
+
+
+def test_fix_without_carries_leaves_ledger_alone():
+    f = Forest()
+    f.add_tree(make_singleton(1))
+    ledger = fix_with_ledger(f)
+    assert ledger.calls == 0
+    assert ledger.rearrangements == 0
 
 
 def test_underflow_guard():
     led = PotentialLedger()
     with pytest.raises(LedgerError):
-        led.record_rearrangement(1, 2)  # delta -1 from phi 0
+        led.record_rearrangement(1, -1)  # from phi 0
     led2 = PotentialLedger()
     with pytest.raises(LedgerError):
         led2.record_structural("delete", -5)
@@ -61,7 +129,7 @@ def test_structural_examples():
 def test_amortized_cost_per_record():
     led = PotentialLedger(keep_records=True)
     led.record_structural("insert", 0)
-    led.record_rearrangement(0, 1)  # singleton carry: phi 0 -> 1
+    led.record_rearrangement(1, 1)  # singleton carry: phi 0 -> 1
     led.finish_op(1, 2)
     rec = led.records[-1]
     assert rec.amortized_cost == 1 + 1  # one fix plus one unit of phi gained
@@ -108,7 +176,7 @@ def test_absorb_merges_counters():
     b = PotentialLedger(keep_records=True)
     a.record_structural("adopt", 2)
     a.finish_op(0, 1)
-    a.record_rearrangement(1, 2)
+    a.record_rearrangement(1, -1)
     b.record_structural("adopt", 4)
     b.finish_op(0, 3)
     a.absorb(b)

@@ -3,15 +3,43 @@ a tracked multiset."""
 
 import math
 import random
+from itertools import zip_longest
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from triheap.errors import (ContractViolation, EmptyQueueError,
                             InvalidHandleError)
 from triheap.forest import FixPolicy
+from triheap.ledger import PotentialLedger
 from triheap.queue import Queue, make_queue, meld
 
 from conftest import build_perfect_heap
+
+
+def reference_carry_heights(digits, policy):
+    """Heights a lowest-first carry schedule visits, from the digits alone.
+
+    Each step rescans from height 0 for the lowest digit at or over the
+    threshold: 3, or 5 once a relaxed policy has spent its budget.
+    """
+    digits = list(digits)
+    heights = []
+    threshold = 3
+    budget = policy.relaxed_budget if policy.mode == "relaxed" else None
+    while True:
+        h = next((h for h, d in enumerate(digits) if d >= threshold), None)
+        if h is None:
+            return heights
+        digits[h] -= 3
+        if h + 1 == len(digits):
+            digits.append(0)
+        digits[h + 1] += 1
+        if h >= 1:
+            digits[h - 1] += 2
+        heights.append(h)
+        if len(heights) == budget:
+            threshold = 5
 
 
 class TestMakeQueue:
@@ -58,6 +86,20 @@ class TestInsert:
         q = Queue(keep_records=True)
         q.insert(1)
         assert q.ledger.records[-1].structural_delta == 0
+
+    def test_raising_comparator_loses_no_element(self):
+        """The third insert's carry compares 1, 2 and "x", which raises
+        before any root leaves its bucket.  The digit left at 3 and the
+        insert's ledger record that finish_op never closed are open item 4
+        of ROADMAP.md."""
+        q = make_queue()
+        q.insert(1)
+        q.insert(2)
+        with pytest.raises(TypeError):
+            q.insert("x")
+        assert len(q) == 3
+        assert [k for t in q.forest.trees() for k in t.keys()] == [1, 2, "x"]
+        assert q.validate() == ["digit 3 at height 0 exceeds bound 2"]
 
     def test_payload_round_trip(self):
         q = make_queue()
@@ -217,6 +259,37 @@ class TestMeld:
         assert merged.validate() == []
 
 
+    @given(ops_a=st.lists(st.one_of(st.integers(0, 999), st.none()),
+                          max_size=120),
+           ops_b=st.lists(st.one_of(st.integers(0, 999), st.none()),
+                          max_size=120),
+           policy=st.sampled_from([FixPolicy(), FixPolicy("relaxed"),
+                                   FixPolicy("relaxed", relaxed_budget=2)]))
+    @example(ops_a=[0] * 22, ops_b=[1] * 22, policy=FixPolicy())
+    @example(ops_a=[0] * 27, ops_b=[1] * 24, policy=FixPolicy("relaxed"))
+    def test_carry_schedule_after_meld(self, ops_a, ops_b, policy):
+        # None is a delete-min (skipped on an empty queue).  Each side ends
+        # within its digit bound, so the sum can be over it at many heights.
+        def build(ops):
+            q = Queue(policy=policy, ledger=PotentialLedger(keep_events=True))
+            for op in ops:
+                if op is not None:
+                    q.insert(op)
+                elif len(q):
+                    q.delete_min()
+            return q
+
+        a, b = build(ops_a), build(ops_b)
+        digits = [x + y for x, y in zip_longest(a.forest.digits(),
+                                                b.forest.digits(),
+                                                fillvalue=0)]
+        before = len(a.ledger.events) + len(b.ledger.events)
+        merged = meld(a, b)
+        assert ([h for h, _ in merged.ledger.events[before:]]
+                == reference_carry_heights(digits, policy))
+        assert merged.validate() == []
+
+
 class TestDecreaseKey:
 
     def test_root_decrease_no_swaps(self):
@@ -297,6 +370,19 @@ class TestDelete:
         q.delete(h)
         with pytest.raises(InvalidHandleError):
             q.delete(h)
+
+    def test_foreign_handle_rejected_before_any_swap(self):
+        a = make_queue()
+        b = make_queue()
+        handles = [b.insert(k) for k in range(9)]
+        a.insert(10)
+        a.insert(11)
+        assert handles[7].node.parent is not None  # a swap would move it
+        with pytest.raises(ContractViolation):
+            a.delete(handles[7])
+        assert a.validate() == []
+        assert b.validate() == []
+        assert [b.delete_min()[0] for _ in range(9)] == list(range(9))
 
     def test_random_deletes_against_shadow(self, rng):
         q = make_queue()
