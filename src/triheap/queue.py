@@ -27,8 +27,7 @@ class Queue:
     isolated and safe to use from parallel threads.
     """
 
-    __slots__ = ("policy", "comparator", "forest", "ledger", "fix_total",
-                 "alive")
+    __slots__ = ("policy", "comparator", "forest", "ledger", "alive")
 
     def __init__(self, policy=None, less=operator.lt, keep_records=False,
                  comparator=None, ledger=None):
@@ -36,7 +35,6 @@ class Queue:
         self.comparator = comparator or CountingComparator(less)
         self.forest = Forest(self.policy)
         self.ledger = ledger or PotentialLedger(keep_records=keep_records)
-        self.fix_total = 0
         self.alive = True
 
     def __len__(self):
@@ -56,10 +54,20 @@ class Queue:
             raise InvalidHandleError("handle's element was already removed")
         return node
 
+    def _tree_of(self, node):
+        """Locate the tree holding node: returns (height, index, root).
+
+        Raises ContractViolation when node belongs to another queue; nothing
+        has been compared or moved by then.
+        """
+        root = node
+        while root.parent is not None:
+            root = root.parent
+        h, index = self.forest.find_root(root)
+        return h, index, root
+
     def _run_fix(self):
-        fixes = self.forest.fix(self.comparator, self.ledger)
-        self.fix_total += fixes
-        return fixes
+        return self.forest.fix(self.comparator, self.ledger)
 
     def insert(self, key, payload=None):
         """Add an element as a fresh height-0 tree; returns its handle.
@@ -116,10 +124,12 @@ class Queue:
         """Lower the keyed element to new_key and restore heap order upward.
 
         Content swaps only: tree shapes, forest digits and phi are untouched
-        and the handle keeps tracking its element.
+        and the handle keeps tracking its element.  The handle's tree must
+        belong to this queue; that is checked before any comparison.
         """
         self._require_alive()
         node = self._live_node(handle)
+        self._tree_of(node)
         c0 = self.comparator.count
         if self.comparator(node.key, new_key):
             raise ContractViolation(
@@ -140,10 +150,7 @@ class Queue:
         self._require_alive()
         node = self._live_node(handle)
         c0 = self.comparator.count
-        root = node
-        while root.parent is not None:
-            root = root.parent
-        h, index = self.forest.find_root(root)
+        h, index, root = self._tree_of(node)
         sift_to_root(node)
         self.forest.remove_root(h, index)
         left, right = detach_root(root)
@@ -183,7 +190,6 @@ class Queue:
             self.comparator.count += other.comparator.count
         if other.ledger is not self.ledger:
             self.ledger.absorb(other.ledger)
-        self.fix_total += other.fix_total
         other.forest = Forest(other.policy)
         other.alive = False
         self.ledger.record_structural("meld", 0)
@@ -199,10 +205,6 @@ class Queue:
         """
         problems = self.forest.validate(self.comparator.raw_less, full=full)
         problems.extend(self.ledger.audit(self.forest))
-        if self.fix_total != self.ledger.rearrangements:
-            problems.append(
-                f"fix() reported {self.fix_total} carries, ledger saw "
-                f"{self.ledger.rearrangements}")
         return problems
 
 

@@ -262,6 +262,13 @@ def validate_tree(t, less=operator.lt):
     count 2**(h+1) - 1), heap order on every edge, parent/child link
     symmetry, and handle back-reference consistency.  Reports and never
     raises; linear time, meant for tests and debug auditing only.
+
+    The walk goes level by level.  Each node gets one fused test: above
+    depth h, both children present, its handle linking back, both children
+    linking back and neither child less than it; at depth h, no children
+    and its handle linking back.  Messages are built only for a node that
+    fails its test, and its children still join the next level, so a
+    malformed tree is reported in full, in level order.
     """
     problems = []
     root = t.root
@@ -269,35 +276,68 @@ def validate_tree(t, less=operator.lt):
         return ["tree has no root"]
     if root.parent is not None:
         problems.append(f"root {root.key!r} has a parent")
+    height = t.height
     count = 0
-    stack = [(root, 0)]
-    while stack:
-        node, depth = stack.pop()
-        count += 1
-        left = node.left
-        right = node.right
-        if (left is None) != (right is None):
-            problems.append(f"node {node.key!r} has exactly one child")
-        if node.handle is None:
-            problems.append(f"node {node.key!r} has no handle")
-        elif node.handle.node is not node:
-            problems.append(f"handle of node {node.key!r} points elsewhere")
-        if left is None and right is None and depth != t.height:
-            problems.append(
-                f"leaf {node.key!r} at depth {depth}, expected {t.height}")
-        for child in (left, right):
-            if child is None:
-                continue
-            if child.parent is not node:
-                problems.append(
-                    f"child {child.key!r} does not link back to {node.key!r}")
-            if less(child.key, node.key):
-                problems.append(
-                    f"heap order broken: child {child.key!r} under parent "
-                    f"{node.key!r}")
-            stack.append((child, depth + 1))
-    expected = (1 << (t.height + 1)) - 1
+    depth = 0
+    level = [root]
+    while level:
+        count += len(level)
+        below = []
+        append = below.append
+        if depth < height:
+            for node in level:
+                left = node.left
+                right = node.right
+                handle = node.handle
+                if (left is not None and right is not None
+                        and handle is not None and handle.node is node
+                        and left.parent is node and right.parent is node
+                        and not less(left.key, node.key)
+                        and not less(right.key, node.key)):
+                    append(left)
+                    append(right)
+                else:
+                    _report_node(node, depth, height, less, problems, append)
+        else:
+            for node in level:
+                handle = node.handle
+                if not (depth == height and node.left is None
+                        and node.right is None and handle is not None
+                        and handle.node is node):
+                    _report_node(node, depth, height, less, problems, append)
+        level = below
+        depth += 1
+    expected = (1 << (height + 1)) - 1
     if count != expected:
         problems.append(
-            f"node count {count}, expected {expected} for height {t.height}")
+            f"node count {count}, expected {expected} for height {height}")
     return problems
+
+
+def _report_node(node, depth, height, less, problems, append):
+    """Messages for one node that failed validate_tree's fused test.
+
+    Also hands each present child to append, so the walk goes on below it.
+    """
+    left = node.left
+    right = node.right
+    if (left is None) != (right is None):
+        problems.append(f"node {node.key!r} has exactly one child")
+    if node.handle is None:
+        problems.append(f"node {node.key!r} has no handle")
+    elif node.handle.node is not node:
+        problems.append(f"handle of node {node.key!r} points elsewhere")
+    if left is None and right is None and depth != height:
+        problems.append(
+            f"leaf {node.key!r} at depth {depth}, expected {height}")
+    for child in (left, right):
+        if child is None:
+            continue
+        if child.parent is not node:
+            problems.append(
+                f"child {child.key!r} does not link back to {node.key!r}")
+        if less(child.key, node.key):
+            problems.append(
+                f"heap order broken: child {child.key!r} under parent "
+                f"{node.key!r}")
+        append(child)

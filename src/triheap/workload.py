@@ -305,7 +305,6 @@ class QueueRunner:
             keep_events=old.ledger.events is not None)
         qa = Queue(policy=old.policy, comparator=old.comparator,
                    ledger=old.ledger)
-        qa.fix_total = old.fix_total
         qb = Queue(policy=old.policy, comparator=old.comparator,
                    ledger=ledger_b)
         moved = 0

@@ -4,9 +4,10 @@ import random
 
 import pytest
 
+from triheap import forest as forest_module
 from triheap.errors import ContractViolation, EmptyQueueError
 from triheap.forest import FixPolicy, Forest
-from triheap.tree import CountingComparator, make_singleton
+from triheap.tree import CountingComparator, PerfectTree, make_singleton
 
 from conftest import build_perfect_heap
 
@@ -254,3 +255,28 @@ class TestPolicy:
     def test_digit_bounds(self):
         assert FixPolicy().digit_bound == 2
         assert FixPolicy("relaxed").digit_bound == 4
+
+
+def test_full_validate_checks_each_tree_through_validate_tree(rng,
+                                                               monkeypatch):
+    """Forest.validate(full=True) hands every tree, as a PerfectTree of its
+    own height, to the module-level validate_tree exactly once; the traced
+    benchmark run times and counts the tree audit at that name."""
+    seen = []
+
+    def counting_stub(tree, less):
+        seen.append(tree)
+        return []
+
+    monkeypatch.setattr(forest_module, "validate_tree", counting_stub)
+    f = Forest()
+    trees = [build_perfect_heap(rng.sample(range(100), size), rng)
+             for size in (1, 1, 3, 15)]
+    for t in trees:
+        f.add_tree(t)
+    assert f.validate(full=False) == []
+    assert seen == []
+    assert f.validate(full=True) == []
+    assert all(type(t) is PerfectTree for t in seen)
+    assert [(t.root, t.height) for t in seen] == [
+        (t.root, t.height) for t in trees]

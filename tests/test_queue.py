@@ -340,6 +340,23 @@ class TestDecreaseKey:
         q.decrease_key(h, 5)
         assert q.find_min()[0] == 5
 
+    def test_foreign_handle_rejected_before_any_comparison(self):
+        a = make_queue()
+        b = make_queue()
+        handles = [b.insert(k) for k in range(9)]
+        a.insert(10)
+        a.insert(11)
+        count = a.comparator.count
+        charged = a.ledger.comparisons
+        assert handles[7].node.parent is not None  # a sift would move it
+        with pytest.raises(ContractViolation):
+            a.decrease_key(handles[7], -1)
+        assert a.comparator.count == count
+        assert a.ledger.comparisons == charged
+        assert a.validate() == []
+        assert b.validate() == []
+        assert [b.delete_min()[0] for _ in range(9)] == list(range(9))
+
 
 class TestDelete:
 

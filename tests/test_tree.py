@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from triheap.errors import ContractViolation
-from triheap.tree import (CountingComparator, make_singleton, rearrange,
-                          sift_to_root, sift_up, split_root, validate_tree)
+from triheap.tree import (CountingComparator, Handle, Node, make_singleton,
+                          rearrange, sift_to_root, sift_up, split_root,
+                          validate_tree)
 
 from conftest import build_perfect_heap, link_snapshot, perfect_size, tree_keys
 
@@ -247,6 +248,109 @@ class TestValidate:
         t = build_perfect_heap(list(range(3)), rng)
         t.root.left.handle = t.root.handle
         assert any("handle" in p for p in validate_tree(t))
+
+
+def _at_depth(t, depth):
+    """The node reached from the root by alternating left and right steps."""
+    node = t.root
+    for step in range(depth):
+        node = node.right if step % 2 else node.left
+    return node
+
+
+def _count_message(count):
+    return f"node count {count}, expected 15 for height 3"
+
+
+def _root_has_parent(t, node, depth):
+    node.parent = Node(-1)
+    return [f"root {node.key!r} has a parent"]
+
+
+def _one_child(t, node, depth):
+    node.right = None
+    return [f"node {node.key!r} has exactly one child",
+            _count_message(15 - perfect_size(2 - depth))]
+
+
+def _no_handle(t, node, depth):
+    node.handle = None
+    return [f"node {node.key!r} has no handle"]
+
+
+def _handle_elsewhere(t, node, depth):
+    node.handle = Handle(Node(-1))
+    return [f"handle of node {node.key!r} points elsewhere"]
+
+
+def _leaf_at_wrong_depth(t, node, depth):
+    node.left = node.right = None
+    return [f"leaf {node.key!r} at depth {depth}, expected 3",
+            _count_message(15 - 2 * perfect_size(2 - depth))]
+
+
+def _child_does_not_link_back(t, node, depth):
+    parent = node.parent
+    node.parent = None
+    return [f"child {node.key!r} does not link back to {parent.key!r}"]
+
+
+def _parent_above_children(t, node, depth):
+    node.key = 100
+    return [f"heap order broken: child {child.key!r} under parent 100"
+            for child in (node.left, node.right)]
+
+
+def _child_below_parent(t, node, depth):
+    node.key = -1
+    return [f"heap order broken: child -1 under parent {node.parent.key!r}"]
+
+
+def _node_count(t, node, depth):
+    # Fifteen nodes whose tree claims height 2: only the count and the
+    # depth of the leaves can tell.
+    t.height = 2
+    return [f"leaf {leaf.key!r} at depth 3, expected 2"
+            for leaf in t.nodes() if leaf.left is None] + [
+        "node count 15, expected 7 for height 2"]
+
+
+def _two_children_at_leaf_depth(t, node, depth):
+    for key in (100, 101):
+        child = Node(key)
+        Handle(child)
+        child.parent = node
+        if node.left is None:
+            node.left = child
+        else:
+            node.right = child
+    return ["leaf 100 at depth 4, expected 3",
+            "leaf 101 at depth 4, expected 3", _count_message(17)]
+
+
+@pytest.mark.parametrize("plant, depth", [
+    (_root_has_parent, 0),
+    (_one_child, 0), (_one_child, 1), (_one_child, 2),
+    (_no_handle, 0), (_no_handle, 1), (_no_handle, 3),
+    (_handle_elsewhere, 0), (_handle_elsewhere, 2), (_handle_elsewhere, 3),
+    (_leaf_at_wrong_depth, 0), (_leaf_at_wrong_depth, 1),
+    (_leaf_at_wrong_depth, 2),
+    (_child_does_not_link_back, 1), (_child_does_not_link_back, 2),
+    (_child_does_not_link_back, 3),
+    (_parent_above_children, 0), (_parent_above_children, 1),
+    (_parent_above_children, 2),
+    (_child_below_parent, 1), (_child_below_parent, 2),
+    (_child_below_parent, 3),
+    (_node_count, 0),
+    (_two_children_at_leaf_depth, 3),
+])
+def test_every_diagnostic_is_reported(plant, depth, rng):
+    """One planted corruption of a height-3 heap yields exactly its
+    messages, wherever in the tree it sits."""
+    t = build_perfect_heap(list(range(15)), rng)
+    assert validate_tree(t) == []
+    expected = plant(t, _at_depth(t, depth), depth)
+    assert sorted(validate_tree(t)) == sorted(expected)
 
 
 def test_randomized_storm_conserves_everything(rng):
