@@ -209,18 +209,23 @@ class Forest:
         return done
 
     def validate(self, less=operator.lt, full=True):
-        """Diagnostics for bucket bookkeeping and (optionally) every tree."""
+        """Diagnostics for buckets, doubly filed roots and, if full, trees."""
         problems = []
         if self.roots and not self.roots[-1]:
             problems.append(
                 f"empty bucket kept at height {len(self.roots) - 1}")
         total = 0
+        filed = set()
         for h, bucket in enumerate(self.roots):
             if len(bucket) > self.policy.digit_bound:
                 problems.append(
                     f"digit {len(bucket)} at height {h} exceeds bound "
                     f"{self.policy.digit_bound}")
             total += len(bucket) * ((1 << (h + 1)) - 1)
+            for root in bucket:
+                if root in filed:
+                    problems.append(f"root {root.key!r} is filed twice")
+                filed.add(root)
         if total != self.size:
             problems.append(f"size {self.size}, but trees hold {total} elements")
         if full:

@@ -6,17 +6,19 @@ height-sum change: a carry at input height h >= 1 trades three height-h
 trees for one of height h+1 and two of height h-1, dropping phi by one,
 while three singletons collapse into one height-1 tree and *raise* phi by
 one.  The audit recomputes the height sum from the live forest, so a wrong
-delta anywhere shows up as drift.
+delta anywhere shows up as drift: that comparison, and the underflow guards
+that keep phi >= 0, are the ledger's checks that can fail.
 
 Amortized bookkeeping: each rearrangement's charge is its delta plus one (so
 a regular carry nets zero and a singleton carry nets two), and structural
-changes are charged at face value.  contribution_sum accumulates those
-charges, giving the exact identity
+changes are charged at face value.  The charges sum to phi + rearrangements,
+which contribution_sum returns, so the identity
 
     rearrangements == contribution_sum - phi
 
-which, with phi >= 0, is the machine-checked form of "amortized time bounds
-actual time" for runs that start from an empty queue.
+holds by construction.  With phi >= 0 and phi audited against the height
+sum, it is the form of "amortized time bounds actual time" for runs that
+start from an empty queue.
 """
 
 from dataclasses import dataclass
@@ -50,25 +52,27 @@ class PotentialLedger:
     The aggregate counters are always maintained and always exact.
     """
 
-    __slots__ = ("phi", "rearrangements", "comparisons", "structural_sum",
-                 "rearrangement_delta_sum", "contribution_sum", "records",
-                 "events")
+    __slots__ = ("phi", "rearrangements", "comparisons", "records", "events")
 
     def __init__(self, keep_records=False, keep_events=False):
         self.phi = 0
         self.rearrangements = 0
         self.comparisons = 0
-        self.structural_sum = 0
-        self.rearrangement_delta_sum = 0
-        self.contribution_sum = 0
         self.records = [] if keep_records else None
         self.events = [] if keep_events else None
+
+    @property
+    def contribution_sum(self):
+        """Sum of all amortized charges so far: phi + rearrangements.
+
+        Derived, not counted, so rearrangements == contribution_sum - phi
+        holds by construction and is no evidence on its own.
+        """
+        return self.phi + self.rearrangements
 
     def record_rearrangement(self, count, delta):
         """Account one fix call: count rearrangements moving phi by delta."""
         self.rearrangements += count
-        self.rearrangement_delta_sum += delta
-        self.contribution_sum += delta + count
         self.phi += delta
         if self.phi < 0:
             raise LedgerError(f"phi underflow: {self.phi} after "
@@ -81,8 +85,6 @@ class PotentialLedger:
         triggered by the operation have run.
         """
         before = self.phi
-        self.structural_sum += delta
-        self.contribution_sum += delta
         self.phi += delta
         if self.phi < 0:
             raise LedgerError(f"phi underflow: {self.phi} after {op}")
@@ -103,9 +105,6 @@ class PotentialLedger:
         self.phi += other.phi
         self.rearrangements += other.rearrangements
         self.comparisons += other.comparisons
-        self.structural_sum += other.structural_sum
-        self.rearrangement_delta_sum += other.rearrangement_delta_sum
-        self.contribution_sum += other.contribution_sum
         if self.records is not None and other.records:
             self.records.extend(other.records)
         if self.events is not None and other.events:
@@ -115,22 +114,13 @@ class PotentialLedger:
         """Cross-check the ledger against ground truth; returns diagnostics.
 
         Empty result means: phi matches the height sum recomputed from the
-        live forest, the running sums reproduce phi, phi never went negative,
-        and the rearrangement count equals contribution_sum - phi (so it is
-        bounded by contribution_sum alone).
+        live forest and is not negative.  The rearrangement count then
+        equals contribution_sum - phi by construction.
         """
         problems = []
         actual = forest.height_sum()
         if actual != self.phi:
             problems.append(f"ledger phi {self.phi} != recomputed {actual}")
-        if self.structural_sum + self.rearrangement_delta_sum != self.phi:
-            problems.append(
-                f"running sums {self.structural_sum} + "
-                f"{self.rearrangement_delta_sum} do not reproduce phi {self.phi}")
         if self.phi < 0:
             problems.append(f"negative phi {self.phi}")
-        if self.rearrangements != self.contribution_sum - self.phi:
-            problems.append(
-                f"rearrangements {self.rearrangements} != contributions "
-                f"{self.contribution_sum} - phi {self.phi}")
         return problems

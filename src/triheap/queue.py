@@ -19,8 +19,8 @@ from .tree import (CountingComparator, Handle, Node, detach_root,
 
 
 class Queue:
-    """Min-priority queue with insert, find/delete-min, decrease-key, delete
-    and meld, all addressed through stable element handles.
+    """Min-priority queue with insert, find/delete-min, decrease-key, delete,
+    meld and split, all addressed through stable element handles.
 
     A queue is single-owner: it may be handed between threads as a whole but
     must never be accessed concurrently.  Independent queues are fully
@@ -30,11 +30,11 @@ class Queue:
     __slots__ = ("policy", "comparator", "forest", "ledger", "alive")
 
     def __init__(self, policy=None, less=operator.lt, keep_records=False,
-                 comparator=None, ledger=None):
+                 keep_events=False):
         self.policy = policy if policy is not None else FixPolicy()
-        self.comparator = comparator or CountingComparator(less)
+        self.comparator = CountingComparator(less)
         self.forest = Forest(self.policy)
-        self.ledger = ledger or PotentialLedger(keep_records=keep_records)
+        self.ledger = PotentialLedger(keep_records, keep_events)
         self.alive = True
 
     def __len__(self):
@@ -69,6 +69,23 @@ class Queue:
     def _run_fix(self):
         return self.forest.fix(self.comparator, self.ledger)
 
+    def _remove_root(self, op, h, index, c0):
+        """The one root-removal path, shared by delete_min and delete.
+
+        The height-h root's two subtrees rejoin the forest as they are, so
+        phi changes by h - 2 (by 0 for a singleton); then carries run.
+        """
+        left, right = detach_root(self.forest.remove_root(h, index))
+        if left is not None:
+            self.forest.add_root(left, h - 1)
+            self.forest.add_root(right, h - 1)
+            delta = h - 2
+        else:
+            delta = 0
+        self.ledger.record_structural(op, delta)
+        fixes = self._run_fix()
+        self.ledger.finish_op(fixes, self.comparator.count - c0)
+
     def insert(self, key, payload=None):
         """Add an element as a fresh height-0 tree; returns its handle.
 
@@ -97,28 +114,14 @@ class Queue:
     def delete_min(self):
         """Remove and return (key, payload) of a minimal element.
 
-        The minimal root (found by scanning all roots) is detached; its two
-        subtrees rejoin the forest as they are and carries run per policy.
-        Detaching a height-h tree and re-adding two height-(h-1) trees
-        changes phi by h - 2 (by 0 for a singleton).
+        The minimal root, found by scanning all roots, is removed by
+        _remove_root, the path delete shares.
         """
         self._require_alive()
         c0 = self.comparator.count
         h, index, root = self.forest.scan_min(self.comparator)
-        self.forest.remove_root(h, index)
-        key = root.key
-        payload = root.payload
-        left, right = detach_root(root)
-        if left is not None:
-            self.forest.add_root(left, h - 1)
-            self.forest.add_root(right, h - 1)
-            delta = h - 2
-        else:
-            delta = 0
-        self.ledger.record_structural("delete_min", delta)
-        fixes = self._run_fix()
-        self.ledger.finish_op(fixes, self.comparator.count - c0)
-        return key, payload
+        self._remove_root("delete_min", h, index, c0)
+        return root.key, root.payload
 
     def decrease_key(self, handle, new_key):
         """Lower the keyed element to new_key and restore heap order upward.
@@ -145,24 +148,42 @@ class Queue:
         The handle's tree must belong to this queue; that is checked before
         anything moves.  Its content is then hoisted to the tree's root
         without any comparison (treated as below every key), and the root
-        is split off exactly as in delete_min.
+        is removed by the same path as in delete_min.
         """
         self._require_alive()
         node = self._live_node(handle)
         c0 = self.comparator.count
-        h, index, root = self._tree_of(node)
+        h, index, _ = self._tree_of(node)
         sift_to_root(node)
-        self.forest.remove_root(h, index)
-        left, right = detach_root(root)
-        if left is not None:
-            self.forest.add_root(left, h - 1)
-            self.forest.add_root(right, h - 1)
-            delta = h - 2
-        else:
-            delta = 0
-        self.ledger.record_structural("delete", delta)
-        fixes = self._run_fix()
-        self.ledger.finish_op(fixes, self.comparator.count - c0)
+        self._remove_root("delete", h, index, c0)
+
+    def split(self, fraction):
+        """Move the trees past the fraction point into a new queue; returns it.
+
+        In height order, then bucket order, the first int(fraction * trees)
+        trees stay; the rest move as they are, with no comparison, into a
+        new queue of self's type, policy and key order.  Handles follow
+        their elements.  Each ledger records one "split" op for moved phi.
+        """
+        self._require_alive()
+        if not 0 <= fraction <= 1:
+            raise ContractViolation(f"fraction {fraction!r} not in [0, 1]")
+        other = type(self)(policy=self.policy, less=self.comparator.raw_less,
+                           keep_records=self.ledger.records is not None,
+                           keep_events=self.ledger.events is not None)
+        trees = list(self.forest.trees())
+        cut = int(fraction * len(trees))
+        self.forest = Forest(self.policy)
+        for tree in trees[:cut]:
+            self.forest.add_tree(tree)
+        for tree in trees[cut:]:
+            other.forest.add_tree(tree)
+        phi = other.forest.height_sum()
+        self.ledger.record_structural("split", -phi)
+        self.ledger.finish_op(0, 0)
+        other.ledger.record_structural("split", phi)
+        other.ledger.finish_op(0, 0)
+        return other
 
     def meld(self, other):
         """Absorb other into self; returns the melded queue (self).
@@ -179,17 +200,14 @@ class Queue:
         if self.policy != other.policy:
             raise ContractViolation(
                 f"meld across fix policies {self.policy} / {other.policy}")
-        shared = other.comparator is self.comparator
-        if not shared and other.comparator.raw_less is not self.comparator.raw_less:
+        if other.comparator.raw_less is not self.comparator.raw_less:
             raise ContractViolation("meld across different comparators")
-        c0 = self.comparator.count + (0 if shared else other.comparator.count)
+        c0 = self.comparator.count + other.comparator.count
         for h, bucket in enumerate(other.forest.roots):
             for root in bucket:
                 self.forest.add_root(root, h)
-        if not shared:
-            self.comparator.count += other.comparator.count
-        if other.ledger is not self.ledger:
-            self.ledger.absorb(other.ledger)
+        self.comparator.count += other.comparator.count
+        self.ledger.absorb(other.ledger)
         other.forest = Forest(other.policy)
         other.alive = False
         self.ledger.record_structural("meld", 0)

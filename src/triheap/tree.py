@@ -264,11 +264,12 @@ def validate_tree(t, less=operator.lt):
     raises; linear time, meant for tests and debug auditing only.
 
     The walk goes level by level.  Each node gets one fused test: above
-    depth h, both children present, its handle linking back, both children
+    depth h, two distinct children, its handle linking back, both children
     linking back and neither child less than it; at depth h, no children
     and its handle linking back.  Messages are built only for a node that
-    fails its test, and its children still join the next level, so a
-    malformed tree is reported in full, in level order.
+    fails its test, and its children still join the next level (an aliased
+    child once), so a malformed tree is reported in full, in level order.
+    With the link checks, distinct siblings mean no node is reached twice.
     """
     problems = []
     root = t.root
@@ -290,6 +291,7 @@ def validate_tree(t, less=operator.lt):
                 right = node.right
                 handle = node.handle
                 if (left is not None and right is not None
+                        and left is not right
                         and handle is not None and handle.node is node
                         and left.parent is node and right.parent is node
                         and not less(left.key, node.key)
@@ -317,12 +319,17 @@ def validate_tree(t, less=operator.lt):
 def _report_node(node, depth, height, less, problems, append):
     """Messages for one node that failed validate_tree's fused test.
 
-    Also hands each present child to append, so the walk goes on below it.
+    Also hands each present child to append (an aliased child once), so
+    the walk goes on below it.
     """
     left = node.left
     right = node.right
     if (left is None) != (right is None):
         problems.append(f"node {node.key!r} has exactly one child")
+    elif left is right and left is not None:
+        problems.append(
+            f"node {node.key!r} has child {left.key!r} on both sides")
+        right = None
     if node.handle is None:
         problems.append(f"node {node.key!r} has no handle")
     elif node.handle.node is not node:

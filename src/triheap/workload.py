@@ -22,7 +22,6 @@ import re
 from dataclasses import dataclass, field
 
 from .errors import HeapError
-from .ledger import PotentialLedger
 from .queue import Queue
 
 _SEED_RE = re.compile(r"#\s*seed\s*=\s*(\d+)")
@@ -259,16 +258,15 @@ class QueueRunner:
     """Applies script operations to a real queue.
 
     Keeps the script's implicit handle numbering (one per insert, from 0)
-    and implements meld-split by distributing the forest's trees between two
-    fresh queues at the fraction point and melding them back; elements never
-    move between nodes, so every handle survives.
+    and implements meld-split as Queue.split at the fraction point followed
+    by a meld of the split-off queue back into the runner's queue; elements
+    never move between nodes, so every handle survives.
     """
 
     def __init__(self, policy=None, less=operator.lt, keep_records=False,
                  keep_events=False):
-        self.queue = Queue(policy=policy, less=less,
-                           ledger=PotentialLedger(keep_records=keep_records,
-                                                  keep_events=keep_events))
+        self.queue = Queue(policy=policy, less=less, keep_records=keep_records,
+                           keep_events=keep_events)
         self.handles = []
 
     def apply(self, op):
@@ -297,31 +295,7 @@ class QueueRunner:
         return [self.apply(op) for op in ops]
 
     def _meld_split(self, fraction):
-        old = self.queue
-        trees = list(old.forest.trees())
-        cut = int(fraction * len(trees))
-        ledger_b = PotentialLedger(
-            keep_records=old.ledger.records is not None,
-            keep_events=old.ledger.events is not None)
-        qa = Queue(policy=old.policy, comparator=old.comparator,
-                   ledger=old.ledger)
-        qb = Queue(policy=old.policy, comparator=old.comparator,
-                   ledger=ledger_b)
-        moved = 0
-        for tree in trees[:cut]:
-            qa.forest.add_tree(tree)
-        for tree in trees[cut:]:
-            qb.forest.add_tree(tree)
-            moved += tree.height
-        # The shared ledger keeps following qa; the trees handed to qb take
-        # their potential with them until the meld folds it back in.
-        qa.ledger.record_structural("split", -moved)
-        qa.ledger.finish_op(0, 0)
-        qb.ledger.record_structural("split", moved)
-        qb.ledger.finish_op(0, 0)
-        old.forest = type(old.forest)(old.policy)
-        old.alive = False
-        self.queue = qa.meld(qb)
+        self.queue.meld(self.queue.split(fraction))
 
     def stats(self, op_index, op_name):
         """One StatsRecord snapshot of the current queue state."""

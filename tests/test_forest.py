@@ -280,3 +280,17 @@ def test_full_validate_checks_each_tree_through_validate_tree(rng,
     assert all(type(t) is PerfectTree for t in seen)
     assert [(t.root, t.height) for t in seen] == [
         (t.root, t.height) for t in trees]
+
+
+def test_root_filed_twice_is_reported(rng):
+    """A root appended to its bucket a second time, size included, keeps
+    every digit, the size and each tree valid; only the filing shows it."""
+    f = Forest()
+    for keys in (range(0, 3), range(10, 17)):
+        f.add_tree(build_perfect_heap(list(keys), rng))
+    twice = f.roots[1][0]
+    f.add_root(twice, 1)
+    assert f.digits() == [0, 2, 1]
+    expected = [f"root {twice.key!r} is filed twice"]
+    assert f.validate(full=False) == expected
+    assert f.validate(full=True) == expected

@@ -11,8 +11,8 @@ from hypothesis import example, given, strategies as st
 from triheap.errors import (ContractViolation, EmptyQueueError,
                             InvalidHandleError)
 from triheap.forest import FixPolicy
-from triheap.ledger import PotentialLedger
 from triheap.queue import Queue, make_queue, meld
+from triheap.tree import detach_root
 
 from conftest import build_perfect_heap
 
@@ -271,7 +271,7 @@ class TestMeld:
         # None is a delete-min (skipped on an empty queue).  Each side ends
         # within its digit bound, so the sum can be over it at many heights.
         def build(ops):
-            q = Queue(policy=policy, ledger=PotentialLedger(keep_events=True))
+            q = Queue(policy=policy, keep_events=True)
             for op in ops:
                 if op is not None:
                     q.insert(op)
@@ -288,6 +288,124 @@ class TestMeld:
         assert ([h for h, _ in merged.ledger.events[before:]]
                 == reference_carry_heights(digits, policy))
         assert merged.validate() == []
+
+
+class TestSplit:
+
+    @staticmethod
+    def filled(n, **kw):
+        q = make_queue(**kw)
+        handles = [q.insert(k) for k in range(n)]
+        return q, handles
+
+    @pytest.mark.parametrize("fraction", [-0.1, 1.5, float("nan")])
+    def test_bad_fraction_moves_nothing(self, fraction):
+        q, _ = self.filled(20, keep_records=True)
+        digits, records = q.forest.digits(), len(q.ledger.records)
+        with pytest.raises(ContractViolation):
+            q.split(fraction)
+        assert q.forest.digits() == digits
+        assert len(q.ledger.records) == records
+        assert q.validate() == []
+
+    def test_consumed_queue_rejected(self):
+        a, _ = self.filled(5)
+        b, _ = self.filled(5)
+        a.meld(b)
+        digits = a.forest.digits()
+        with pytest.raises(ContractViolation):
+            b.split(0.5)
+        assert a.forest.digits() == digits
+
+    def test_zero_moves_every_tree(self):
+        q, _ = self.filled(20)
+        digits = q.forest.digits()
+        other = q.split(0)
+        assert len(q) == 0 and q.forest.digits() == []
+        assert other.forest.digits() == digits
+        assert q.validate() == [] and other.validate() == []
+
+    def test_one_moves_nothing(self):
+        q, _ = self.filled(20)
+        digits = q.forest.digits()
+        other = q.split(1)
+        assert len(other) == 0 and other.ledger.phi == 0
+        assert q.forest.digits() == digits
+        assert q.validate() == [] and other.validate() == []
+
+    @pytest.mark.parametrize("fraction", [0.25, 0.5, 0.75])
+    def test_halves_validate_and_split_phi(self, fraction):
+        q, _ = self.filled(100, keep_records=True)
+        trees = [(t.height, t.root) for t in q.forest.trees()]
+        cut = int(fraction * len(trees))
+        phi = q.ledger.phi
+        other = q.split(fraction)
+        assert [(t.height, t.root) for t in q.forest.trees()] == trees[:cut]
+        assert [(t.height, t.root) for t in other.forest.trees()] == \
+            trees[cut:]
+        assert q.validate() == [] and other.validate() == []
+        moved = sum(h for h, _ in trees[cut:])
+        assert (q.ledger.phi, other.ledger.phi) == (phi - moved, moved)
+        assert (q.ledger.records[-1].op, q.ledger.records[-1].structural_delta,
+                other.ledger.records[-1].structural_delta) == \
+            ("split", -moved, moved)
+        assert other.comparator.raw_less is q.comparator.raw_less
+        assert other.comparator.count == 0
+
+    def test_keeps_queue_type_and_policy(self):
+        class Sub(Queue):
+            pass
+
+        q = Sub(policy=FixPolicy("relaxed"), keep_events=True)
+        for k in range(10):
+            q.insert(k)
+        other = q.split(0.5)
+        assert type(other) is Sub
+        assert other.policy == q.policy
+        assert other.ledger.events == [] and other.ledger.records is None
+
+    def test_handles_from_both_halves_survive_meld(self):
+        q, handles = self.filled(30)
+        other = q.split(0.5)
+        assert len(q) and len(other)
+        assert q.meld(other) is q
+        for handle, key in zip(handles, range(30)):
+            assert handle.alive and handle.key == key
+        q.decrease_key(handles[29], -2)
+        q.decrease_key(handles[0], -1)
+        q.delete(handles[15])
+        assert q.validate() == []
+        assert [q.delete_min()[0] for _ in range(29)] == \
+            [-2, -1] + [k for k in range(1, 29) if k != 15]
+
+
+@pytest.mark.parametrize("op", ["delete_min", "delete"])
+def test_root_removal_shares_one_path(op, rng, monkeypatch):
+    """delete_min and delete of the same height-3 root each detach one root
+    and record the same structural delta, h - 2, and the same digits."""
+    import triheap.queue
+    detached = []
+
+    def spy(root):
+        detached.append(root.key)
+        return detach_root(root)
+
+    q = Queue(keep_records=True)
+    t = build_perfect_heap(range(15), rng)
+    q.forest.add_tree(t)
+    q.ledger.record_structural("adopt", t.height)
+    q.ledger.finish_op(0, 0)
+    handle = t.root.left.left.left.handle
+    monkeypatch.setattr(triheap.queue, "detach_root", spy)
+    if op == "delete_min":
+        assert q.delete_min()[0] == 0
+    else:
+        q.delete(handle)
+    assert len(detached) == 1
+    rec = q.ledger.records[-1]
+    assert (rec.op, rec.structural_delta, rec.fixes) == (op, 3 - 2, 0)
+    assert q.forest.digits() == [0, 0, 2]
+    assert q.validate() == []
 
 
 class TestDecreaseKey:

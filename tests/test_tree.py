@@ -315,6 +315,14 @@ def _node_count(t, node, depth):
         "node count 15, expected 7 for height 2"]
 
 
+def _sibling_alias(t, node, depth):
+    # Both links lead to the left subtree; it links back to node, so only
+    # the identity of the two children tells.  The right subtree is lost.
+    node.right = node.left
+    return [f"node {node.key!r} has child {node.left.key!r} on both sides",
+            _count_message(15 - perfect_size(2 - depth))]
+
+
 def _two_children_at_leaf_depth(t, node, depth):
     for key in (100, 101):
         child = Node(key)
@@ -343,6 +351,7 @@ def _two_children_at_leaf_depth(t, node, depth):
     (_child_below_parent, 3),
     (_node_count, 0),
     (_two_children_at_leaf_depth, 3),
+    (_sibling_alias, 0), (_sibling_alias, 1), (_sibling_alias, 2),
 ])
 def test_every_diagnostic_is_reported(plant, depth, rng):
     """One planted corruption of a height-3 heap yields exactly its

@@ -105,6 +105,51 @@ class TestMeldSplit:
             runner.apply(("dm",))
 
 
+MELD_SPLIT_HEAVY = dict(DEFAULT_WEIGHTS, **{"meld-split": 25})
+
+# (weights, mode, seed) -> (comparisons, carries, phi, digits, records) after
+# 20,000 ops; any change to the carry schedule or the comparison count moves
+# one of these.
+CARRY_SCHEDULE = {
+    ("default", "eager", 0):
+        (136987, 24511, 61, [2, 2, 0, 1, 1, 2, 2, 2, 2], 21934),
+    ("default", "eager", 1):
+        (134886, 23485, 68, [2, 2, 2, 2, 1, 2, 2, 2, 2], 21886),
+    ("default", "eager", 2):
+        (135397, 24228, 44, [2, 2, 0, 1, 1, 1, 1, 1, 1, 1], 22092),
+    ("default", "relaxed", 0):
+        (178310, 19867, 90, [2, 2, 1, 3, 4, 4, 2, 3, 1], 21934),
+    ("default", "relaxed", 1):
+        (171334, 19298, 88, [0, 4, 2, 2, 3, 3, 3, 3, 1], 21886),
+    ("default", "relaxed", 2):
+        (173625, 19515, 90, [1, 1, 4, 2, 2, 4, 3, 3, 1], 22092),
+    ("meld-split-heavy", "eager", 0):
+        (108864, 19524, 51, [2, 2, 2, 2, 0, 2, 1, 1, 2], 28448),
+    ("meld-split-heavy", "eager", 1):
+        (109056, 19480, 55, [0, 2, 2, 2, 1, 2, 1, 1, 2], 28294),
+    ("meld-split-heavy", "eager", 2):
+        (112096, 20353, 57, [1, 2, 2, 1, 2, 1, 2, 1, 2], 28324),
+    ("meld-split-heavy", "relaxed", 0):
+        (128419, 17003, 83, [4, 1, 1, 3, 4, 2, 4, 3], 28448),
+    ("meld-split-heavy", "relaxed", 1):
+        (127533, 16820, 59, [1, 2, 2, 2, 1, 4, 0, 1, 2], 28294),
+    ("meld-split-heavy", "relaxed", 2):
+        (131726, 17525, 75, [1, 3, 0, 2, 4, 2, 3, 2, 1], 28324),
+}
+
+
+@pytest.mark.parametrize("case", list(CARRY_SCHEDULE),
+                         ids=lambda case: "-".join(map(str, case)))
+def test_carry_schedule_is_pinned(case):
+    name, mode, seed = case
+    weights = MELD_SPLIT_HEAVY if name == "meld-split-heavy" else None
+    runner = QueueRunner(policy=FixPolicy(mode), keep_records=True)
+    runner.run(generate_script(seed, 20_000, weights).ops)
+    q = runner.queue
+    assert (q.comparator.count, q.ledger.rearrangements, q.ledger.phi,
+            q.forest.digits(), len(q.ledger.records)) == CARRY_SCHEDULE[case]
+
+
 class TestStats:
 
     def test_snapshot_fields(self):
@@ -134,8 +179,7 @@ class TestStats:
 
 
 def test_differential_with_meld_split_heavy_mix():
-    weights = dict(DEFAULT_WEIGHTS, **{"meld-split": 25})
-    script = generate_script(13, 1500, weights)
+    script = generate_script(13, 1500, MELD_SPLIT_HEAVY)
     for policy in (FixPolicy(), FixPolicy("relaxed")):
         verdict = run_differential(script, policy, audit="final")
         assert verdict.passed, str(verdict)
