@@ -22,12 +22,26 @@ class Queue:
     """Min-priority queue with insert, find/delete-min, decrease-key, delete,
     meld and split, all addressed through stable element handles.
 
+    _min caches the minimum root in the style of a Fibonacci heap's min
+    pointer: it is None or the (height, index, root) that Forest.scan_min
+    would return right now, ties included (lowest height, then earliest
+    bucket position).  find_min stores the result of its scan there, and
+    delete_min reuses it instead of scanning.  Upkeep per op:
+
+    - insert: 1 comparison to keep a cache it found, when fix did no carry;
+      otherwise the cache is dropped.  An insert never creates a cache, so
+      a run of inserts pays nothing for it.
+    - decrease_key: 0 comparisons when the element is in the cached root's
+      tree or its sift stopped below a root, else 1.
+    - delete_min, delete, split, meld: the cache is dropped (meld drops
+      both queues' caches).
+
     A queue is single-owner: it may be handed between threads as a whole but
     must never be accessed concurrently.  Independent queues are fully
     isolated and safe to use from parallel threads.
     """
 
-    __slots__ = ("policy", "comparator", "forest", "ledger", "alive")
+    __slots__ = ("policy", "comparator", "forest", "ledger", "alive", "_min")
 
     def __init__(self, policy=None, less=operator.lt, keep_records=False,
                  keep_events=False):
@@ -36,6 +50,7 @@ class Queue:
         self.forest = Forest(self.policy)
         self.ledger = PotentialLedger(keep_records, keep_events)
         self.alive = True
+        self._min = None
 
     def __len__(self):
         return self.forest.size
@@ -69,12 +84,30 @@ class Queue:
     def _run_fix(self):
         return self.forest.fix(self.comparator, self.ledger)
 
+    def _keep_min(self, cached, h, index, root):
+        """Re-set the cache after root at (h, index) got a key that may beat
+        the cached minimum, which is the only root that could have held it.
+
+        One comparison, charged once it returns, as scan_min charges its
+        own; scan_min's tie rule decides which side may win on equal keys.
+        The cache stays empty if the comparison raises.
+        """
+        self._min = None
+        ch, ci, best = cached
+        if (h, index) < (ch, ci):
+            wins = not self.comparator.raw_less(best.key, root.key)
+        else:
+            wins = self.comparator.raw_less(root.key, best.key)
+        self.comparator.count += 1
+        self._min = (h, index, root) if wins else cached
+
     def _remove_root(self, op, h, index, c0):
         """The one root-removal path, shared by delete_min and delete.
 
         The height-h root's two subtrees rejoin the forest as they are, so
         phi changes by h - 2 (by 0 for a singleton); then carries run.
         """
+        self._min = None
         left, right = detach_root(self.forest.remove_root(h, index))
         if left is not None:
             self.forest.add_root(left, h - 1)
@@ -90,23 +123,35 @@ class Queue:
         """Add an element as a fresh height-0 tree; returns its handle.
 
         The singleton contributes nothing to phi; any carries it triggers are
-        accounted separately by the fix machinery.
+        accounted separately by the fix machinery.  A cached minimum is kept
+        at one comparison when no carry ran (the new root sits last in
+        bucket 0), and dropped otherwise.
         """
         self._require_alive()
         c0 = self.comparator.count
+        cached = self._min
+        self._min = None
         node = Node(key, payload)
         handle = Handle(node)
         self.forest.add_root(node, 0)
         self.ledger.record_structural("insert", 0)
         fixes = self._run_fix()
+        if cached is not None and not fixes:
+            self._keep_min(cached, 0, len(self.forest.roots[0]) - 1, node)
         self.ledger.finish_op(fixes, self.comparator.count - c0)
         return handle
 
     def find_min(self):
-        """Return (key, payload) of a minimal element without mutating."""
+        """Return (key, payload) of a minimal element without mutating.
+
+        Scans the roots (trees - 1 comparisons) only when no minimum is
+        cached, and caches what it found; otherwise 0 comparisons.
+        """
         self._require_alive()
         c0 = self.comparator.count
-        _, _, root = self.forest.scan_min(self.comparator)
+        if self._min is None:
+            self._min = self.forest.scan_min(self.comparator)
+        root = self._min[2]
         self.ledger.record_structural("find_min", 0)
         self.ledger.finish_op(0, self.comparator.count - c0)
         return root.key, root.payload
@@ -114,12 +159,13 @@ class Queue:
     def delete_min(self):
         """Remove and return (key, payload) of a minimal element.
 
-        The minimal root, found by scanning all roots, is removed by
-        _remove_root, the path delete shares.
+        The minimal root is the cached one when a minimum is cached (0 scan
+        comparisons), else found by scanning all roots; it is removed by
+        _remove_root, the path delete shares, which drops the cache.
         """
         self._require_alive()
         c0 = self.comparator.count
-        h, index, root = self.forest.scan_min(self.comparator)
+        h, index, root = self._min or self.forest.scan_min(self.comparator)
         self._remove_root("delete_min", h, index, c0)
         return root.key, root.payload
 
@@ -128,17 +174,26 @@ class Queue:
 
         Content swaps only: tree shapes, forest digits and phi are untouched
         and the handle keeps tracking its element.  The handle's tree must
-        belong to this queue; that is checked before any comparison.
+        belong to this queue; that is checked before any comparison.  A
+        rejected key increase still closes its op, with its one comparison.
+        A cached minimum is kept at no cost when the element is in the
+        cached root's tree or its sift stopped below the root, else at one
+        comparison.
         """
         self._require_alive()
         node = self._live_node(handle)
-        self._tree_of(node)
+        h, index, root = self._tree_of(node)
         c0 = self.comparator.count
         if self.comparator(node.key, new_key):
+            self.ledger.record_structural("decrease_key", 0)
+            self.ledger.finish_op(0, 1)
             raise ContractViolation(
                 f"decrease_key to {new_key!r} would raise {node.key!r}")
         node.key = new_key
-        sift_up(node, self.comparator)
+        top = sift_up(node, self.comparator)
+        cached = self._min
+        if cached is not None and top is root and root is not cached[2]:
+            self._keep_min(cached, h, index, root)
         self.ledger.record_structural("decrease_key", 0)
         self.ledger.finish_op(0, self.comparator.count - c0)
 
@@ -168,6 +223,7 @@ class Queue:
         self._require_alive()
         if not 0 <= fraction <= 1:
             raise ContractViolation(f"fraction {fraction!r} not in [0, 1]")
+        self._min = None
         other = type(self)(policy=self.policy, less=self.comparator.raw_less,
                            keep_records=self.ledger.records is not None,
                            keep_events=self.ledger.events is not None)
@@ -202,6 +258,7 @@ class Queue:
                 f"meld across fix policies {self.policy} / {other.policy}")
         if other.comparator.raw_less is not self.comparator.raw_less:
             raise ContractViolation("meld across different comparators")
+        self._min = other._min = None
         c0 = self.comparator.count + other.comparator.count
         for h, bucket in enumerate(other.forest.roots):
             for root in bucket:
@@ -220,9 +277,21 @@ class Queue:
 
         full=True walks every tree (perfectness, heap order, handles);
         full=False checks only the cheap bucket/size/digit/ledger facts.
+        Both check the cached minimum against a fresh scan on a separate
+        counter, and the comparator's count against the ledger's.
         """
         problems = self.forest.validate(self.comparator.raw_less, full=full)
         problems.extend(self.ledger.audit(self.forest))
+        if self.comparator.count != self.ledger.comparisons:
+            problems.append(
+                f"comparator counted {self.comparator.count} comparisons, "
+                f"ledger {self.ledger.comparisons}")
+        if self._min is not None and (
+                not self.forest.size or self._min != self.forest.scan_min(
+                    CountingComparator(self.comparator.raw_less))):
+            h, index, root = self._min
+            problems.append(f"cached minimum {root.key!r} at ({h}, {index}) "
+                            f"is not scan_min's choice")
         return problems
 
 

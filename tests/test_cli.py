@@ -65,6 +65,29 @@ class TestSort:
         assert out == sorted(keys)
         assert final.n == 0
 
+    @pytest.mark.parametrize("mode, comparisons",
+                             [("eager", 323_696), ("relaxed", 446_330)])
+    def test_run_sort_comparisons_are_pinned(self, mode, comparisons,
+                                             monkeypatch):
+        """Heapsort never meets a cached minimum (inserts create none and
+        each delete-min drops it), so every delete-min scans all roots."""
+        import random
+        import triheap.cli
+        queues = []
+
+        class Runner(triheap.cli.QueueRunner):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                queues.append(self.queue)
+
+        monkeypatch.setattr(triheap.cli, "QueueRunner", Runner)
+        rng = random.Random(2012)
+        keys = [rng.getrandbits(32) for _ in range(10_000)]
+        out, final = run_sort(keys, FixPolicy(mode))
+        assert out == sorted(keys)
+        (queue,) = queues
+        assert queue.comparator.count == final.comparisons == comparisons
+
 
 class TestCounter:
 

@@ -3,6 +3,7 @@ a tracked multiset."""
 
 import math
 import random
+from collections import Counter
 from itertools import zip_longest
 
 import pytest
@@ -12,7 +13,7 @@ from triheap.errors import (ContractViolation, EmptyQueueError,
                             InvalidHandleError)
 from triheap.forest import FixPolicy
 from triheap.queue import Queue, make_queue, meld
-from triheap.tree import detach_root
+from triheap.tree import CountingComparator, detach_root
 
 from conftest import build_perfect_heap
 
@@ -452,6 +453,17 @@ class TestDecreaseKey:
         with pytest.raises(ContractViolation):
             q.decrease_key(h, 6)
 
+    def test_rejected_increase_closes_its_op(self):
+        q = Queue(keep_records=True)
+        h = q.insert(5)
+        with pytest.raises(ContractViolation):
+            q.decrease_key(h, 6)
+        assert q.comparator.count == q.ledger.comparisons == 1
+        rec = q.ledger.records[-1]
+        assert (rec.op, rec.fixes, rec.comparisons) == ("decrease_key", 0, 1)
+        assert q.validate() == []
+        assert h.key == 5
+
     def test_equal_key_allowed(self):
         q = make_queue()
         h = q.insert(5)
@@ -550,6 +562,193 @@ class TestSize:
         assert q.size == 3
 
 
+def fresh_scan(q):
+    """scan_min's choice right now, on a counter of its own."""
+    return q.forest.scan_min(CountingComparator(q.comparator.raw_less))
+
+
+class TestMinCache:
+    """Queue._min is None or exactly the (height, index, root) that a fresh
+    scan_min returns, after every public op."""
+
+    POLICIES = [FixPolicy(), FixPolicy("relaxed"),
+                FixPolicy("relaxed", relaxed_budget=2)]
+
+    @staticmethod
+    def filled(rng, policy, n):
+        q = Queue(policy=policy)
+        handles = [q.insert(rng.randrange(8)) for _ in range(n)]
+        if rng.random() < 0.7:
+            q.find_min()
+        return q, handles
+
+    @pytest.mark.parametrize("policy", POLICIES, ids=str)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_cache_is_scan_mins_choice_after_every_op(self, seed, policy):
+        # Keys start in range(8) and decrease-keys lower them by up to 8,
+        # so ties are common and many sifts reach a root.
+        rng = random.Random(seed)
+        q = Queue(policy=policy)
+        live = []
+        foreign, foreign_handles = self.filled(rng, policy, 20)
+        paths = Counter()
+        for _ in range(3000):
+            roll = rng.random()
+            before = q._min
+            if not live or roll < 0.35:
+                live.append(q.insert(rng.randrange(8)))
+                if before is not None:
+                    paths["insert kept" if q._min else "insert dropped"] += 1
+            elif roll < 0.55:
+                assert q.find_min()[0] == min(h.key for h in live)
+            elif roll < 0.65:
+                paths["delete_min cached"] += before is not None
+                least = min(h.key for h in live)
+                assert q.delete_min()[0] == least
+                live = [h for h in live if h.alive]
+            elif roll < 0.8:
+                h = rng.choice(live)
+                q.decrease_key(h, h.key - rng.randrange(9))
+                if (before is not None and h.node.parent is None
+                        and h.node is not before[2]):
+                    paths["dk won" if q._min[2] is h.node else "dk lost"] += 1
+            elif roll < 0.85:
+                h = live.pop(rng.randrange(len(live)))
+                q.delete(h)
+            elif roll < 0.88:
+                q.find_min()
+                other = q.split(rng.random())
+                assert q._min is None and other._min is None
+                if len(other):
+                    other.find_min()
+                q.meld(other)
+                assert other._min is None
+            elif roll < 0.9:
+                other, handles = self.filled(rng, policy, rng.randrange(1, 40))
+                q.meld(other)
+                assert other._min is None
+                live.extend(handles)
+            elif roll < 0.95:
+                h = rng.choice(live)
+                with pytest.raises(ContractViolation):
+                    q.decrease_key(h, h.key + 1)
+                assert q._min is before
+            else:
+                h = rng.choice(foreign_handles)
+                with pytest.raises(ContractViolation):
+                    if roll < 0.975:
+                        q.decrease_key(h, -100)
+                    else:
+                        q.delete(h)
+                assert q._min is before
+            assert q._min is None or q._min == fresh_scan(q)
+            assert q.validate(full=False) == []
+        assert q.validate() == [] and foreign.validate() == []
+        assert sorted(h.key for h in foreign_handles) == \
+            sorted(k for t in foreign.forest.trees() for k in t.keys())
+        assert min(paths[p] for p in (
+            "insert kept", "insert dropped", "delete_min cached", "dk won",
+            "dk lost")) > 0, paths
+
+    @pytest.mark.parametrize("inserts", [1, 3])
+    def test_raise_in_insert_upkeep_leaves_no_cache(self, inserts):
+        """The cached root sits at height 0 (one insert) or 1 (three), so
+        both sides of the tie rule compare "x" with an int, which raises
+        after the insert's fix made no carry."""
+        q = make_queue()
+        for k in range(1, inserts + 1):
+            q.insert(k)
+        q.find_min()
+        assert q._min is not None
+        with pytest.raises(TypeError):
+            q.insert("x")
+        assert q._min is None
+        assert len(q) == inserts + 1
+        assert q.comparator.count == q.ledger.comparisons
+        assert q.validate() == []
+        q.delete(q.forest.roots[0][-1].handle)
+        assert q.find_min() == (1, None)
+        assert q._min == fresh_scan(q)
+        assert q.validate() == []
+
+    def test_decrease_key_upkeep_costs(self):
+        """A tree of 10 over 20 and 30, and a singleton 5 cached as the
+        minimum: each decrease-key pays its check and its sift, plus one
+        upkeep comparison only when a root other than the cached one got
+        a new key."""
+        q = Queue(keep_records=True)
+        h10, h20, h30 = (q.insert(k) for k in (10, 20, 30))
+        h5 = q.insert(5)
+        assert q.find_min() == (5, None)
+        cached = q._min
+
+        def cost(handle, key):
+            q.decrease_key(handle, key)
+            return q.ledger.records[-1].comparisons
+
+        assert cost(h30, 15) == 2  # check, sift stops below the root
+        assert q._min is cached
+        assert cost(h5, 4) == 1  # check; the cached root itself
+        assert q._min is cached
+        assert cost(h10, 8) == 2  # check, upkeep: 4 stays the minimum
+        assert q._min is cached
+        assert cost(h20, 3) == 3  # check, one sift step, upkeep: 3 wins
+        assert q._min == (1, 0, h20.node) == fresh_scan(q)
+        assert q.validate() == []
+
+    def test_raise_in_decrease_key_upkeep_leaves_no_cache(self):
+        def picky(a, b):
+            if {a, b} == {-1, 1}:
+                raise ValueError("planted")
+            return a < b
+
+        q = Queue(less=picky)
+        q.insert(1)
+        h = q.insert(5)
+        q.find_min()
+        with pytest.raises(ValueError):
+            q.decrease_key(h, -1)
+        assert q._min is None
+        assert [t.root.key for t in q.forest.trees()] == [1, -1]
+
+    def test_repeated_find_min_costs_nothing(self):
+        q = Queue(keep_records=True)
+        for k in (5, 3, 8, 1, 9, 2, 7, 4):
+            q.insert(k)
+        trees = q.forest.tree_count()
+        assert trees > 1
+        assert q.find_min()[0] == 1
+        assert q.ledger.records[-1].comparisons == trees - 1
+        assert q.find_min()[0] == 1
+        assert q.ledger.records[-1].comparisons == 0
+        assert q.delete_min()[0] == 1
+        rec = q.ledger.records[-1]
+        assert rec.comparisons == 2 * rec.fixes
+        assert q._min is None
+        trees = q.forest.tree_count()
+        assert q.delete_min()[0] == 2
+        rec = q.ledger.records[-1]
+        assert rec.comparisons == trees - 1 + 2 * rec.fixes
+
+    def test_validate_reports_a_stale_cache(self):
+        q = make_queue()
+        for k in (1, 2):
+            q.insert(k)
+        q.find_min()
+        assert q.validate() == []
+        q._min = (0, 1, q.forest.roots[0][1])
+        assert q.validate() == [
+            "cached minimum 2 at (0, 1) is not scan_min's choice"]
+
+    def test_validate_reports_comparison_drift(self):
+        q = make_queue()
+        for k in (1, 2, 3):
+            q.insert(k)
+        q.comparator.count += 1
+        assert q.validate(full=False) == [
+            "comparator counted 3 comparisons, ledger 2"]
+
+
 def test_no_sift_down_exists_anywhere():
     # delete_min leaves already-ordered subtrees behind, so the package has
     # no downward sift at all; detaching a root costs zero comparisons.
@@ -564,7 +763,8 @@ def test_no_sift_down_exists_anywhere():
         q.insert(k)
     before = q.comparator.count
     q.delete_min()
-    # one scan comparison (two trees after the inserts? no: one tree), fixes 0
+    # the inserts leave one tree, so the scan compares nothing, and its two
+    # leftover singletons need no carry
     assert q.comparator.count - before == 0
 
 

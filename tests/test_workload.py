@@ -112,29 +112,29 @@ MELD_SPLIT_HEAVY = dict(DEFAULT_WEIGHTS, **{"meld-split": 25})
 # one of these.
 CARRY_SCHEDULE = {
     ("default", "eager", 0):
-        (136987, 24511, 61, [2, 2, 0, 1, 1, 2, 2, 2, 2], 21934),
+        (119199, 24511, 61, [2, 2, 0, 1, 1, 2, 2, 2, 2], 21934),
     ("default", "eager", 1):
-        (134886, 23485, 68, [2, 2, 2, 2, 1, 2, 2, 2, 2], 21886),
+        (117630, 23485, 68, [2, 2, 2, 2, 1, 2, 2, 2, 2], 21886),
     ("default", "eager", 2):
-        (135397, 24228, 44, [2, 2, 0, 1, 1, 1, 1, 1, 1, 1], 22092),
+        (118658, 24228, 44, [2, 2, 0, 1, 1, 1, 1, 1, 1, 1], 22092),
     ("default", "relaxed", 0):
-        (178310, 19867, 90, [2, 2, 1, 3, 4, 4, 2, 3, 1], 21934),
+        (154541, 19867, 90, [2, 2, 1, 3, 4, 4, 2, 3, 1], 21934),
     ("default", "relaxed", 1):
-        (171334, 19298, 88, [0, 4, 2, 2, 3, 3, 3, 3, 1], 21886),
+        (149444, 19298, 88, [0, 4, 2, 2, 3, 3, 3, 3, 1], 21886),
     ("default", "relaxed", 2):
-        (173625, 19515, 90, [1, 1, 4, 2, 2, 4, 3, 3, 1], 22092),
+        (151954, 19515, 90, [1, 1, 4, 2, 2, 4, 3, 3, 1], 22092),
     ("meld-split-heavy", "eager", 0):
-        (108864, 19524, 51, [2, 2, 2, 2, 0, 2, 1, 1, 2], 28448),
+        (98238, 19524, 51, [2, 2, 2, 2, 0, 2, 1, 1, 2], 28448),
     ("meld-split-heavy", "eager", 1):
-        (109056, 19480, 55, [0, 2, 2, 2, 1, 2, 1, 1, 2], 28294),
+        (97959, 19480, 55, [0, 2, 2, 2, 1, 2, 1, 1, 2], 28294),
     ("meld-split-heavy", "eager", 2):
-        (112096, 20353, 57, [1, 2, 2, 1, 2, 1, 2, 1, 2], 28324),
+        (101109, 20353, 57, [1, 2, 2, 1, 2, 1, 2, 1, 2], 28324),
     ("meld-split-heavy", "relaxed", 0):
-        (128419, 17003, 83, [4, 1, 1, 3, 4, 2, 4, 3], 28448),
+        (115667, 17003, 83, [4, 1, 1, 3, 4, 2, 4, 3], 28448),
     ("meld-split-heavy", "relaxed", 1):
-        (127533, 16820, 59, [1, 2, 2, 2, 1, 4, 0, 1, 2], 28294),
+        (114346, 16820, 59, [1, 2, 2, 2, 1, 4, 0, 1, 2], 28294),
     ("meld-split-heavy", "relaxed", 2):
-        (131726, 17525, 75, [1, 3, 0, 2, 4, 2, 3, 2, 1], 28324),
+        (118527, 17525, 75, [1, 3, 0, 2, 4, 2, 3, 2, 1], 28324),
 }
 
 
