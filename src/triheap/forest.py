@@ -91,6 +91,58 @@ class Forest:
         self.size -= (1 << (height + 1)) - 1
         return root
 
+    def split(self, count):
+        """Keep the first count trees and move the rest into a new forest.
+
+        Trees count in height order, then bucket order.  Only the boundary
+        bucket is sliced; every bucket above it moves to the new forest as
+        it is, and the moved size and phi are summed in one pass over the
+        moved heights.  Returns (new forest, moved phi).  Cost: a few list
+        operations per height, no comparison; never fixes.
+        """
+        roots = self.roots
+        moved = Forest(self.policy)
+        for h, bucket in enumerate(roots):
+            if count < len(bucket):
+                break
+            count -= len(bucket)
+        else:
+            return moved, 0
+        tail = [[] for _ in range(h)]
+        tail.append(bucket[count:])
+        tail += roots[h + 1:]
+        del bucket[count:]
+        del roots[h + 1:]
+        while roots and not roots[-1]:
+            roots.pop()
+        size = phi = 0
+        for g in range(h, len(tail)):
+            n = len(tail[g])
+            size += n * ((1 << (g + 1)) - 1)
+            phi += n * g
+        moved.roots = tail
+        moved.size = size
+        self.size -= size
+        return moved, phi
+
+    def meld(self, other):
+        """Move all of other's trees into this forest, leaving other empty.
+
+        Other's list at each height goes onto the end of this forest's list
+        at that height; its lists above this forest's top are adopted as
+        they are, so the trees land exactly where filing each of them with
+        add_root would put them.  Cost: one list operation per height, no
+        comparison; never fixes.
+        """
+        roots = self.roots
+        theirs = other.roots
+        for bucket, more in zip(roots, theirs):
+            bucket += more
+        roots += theirs[len(roots):]
+        self.size += other.size
+        other.roots = []
+        other.size = 0
+
     def find_root(self, root):
         """Locate the tree rooted at this node; returns (height, index)."""
         for h, bucket in enumerate(self.roots):

@@ -101,8 +101,13 @@ class PotentialLedger:
             rec.phi_after = self.phi
 
     def absorb(self, other):
-        """Fold another queue's ledger into this one (meld bookkeeping)."""
+        """Fold another queue's ledger into this one (meld bookkeeping).
+
+        Other's phi moves here with its trees, so other keeps phi 0; its
+        work counters stay, since that work was done.
+        """
         self.phi += other.phi
+        other.phi = 0
         self.rearrangements += other.rearrangements
         self.comparisons += other.comparisons
         if self.records is not None and other.records:

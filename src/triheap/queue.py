@@ -174,8 +174,9 @@ class Queue:
 
         Content swaps only: tree shapes, forest digits and phi are untouched
         and the handle keeps tracking its element.  The handle's tree must
-        belong to this queue; that is checked before any comparison.  A
-        rejected key increase still closes its op, with its one comparison.
+        belong to this queue; that is checked before any comparison.  The
+        op's record is closed on every path, a rejected key increase or a
+        raising comparator included, with the comparisons made by then.
         A cached minimum is kept at no cost when the element is in the
         cached root's tree or its sift stopped below the root, else at one
         comparison.
@@ -184,18 +185,18 @@ class Queue:
         node = self._live_node(handle)
         h, index, root = self._tree_of(node)
         c0 = self.comparator.count
-        if self.comparator(node.key, new_key):
-            self.ledger.record_structural("decrease_key", 0)
-            self.ledger.finish_op(0, 1)
-            raise ContractViolation(
-                f"decrease_key to {new_key!r} would raise {node.key!r}")
-        node.key = new_key
-        top = sift_up(node, self.comparator)
-        cached = self._min
-        if cached is not None and top is root and root is not cached[2]:
-            self._keep_min(cached, h, index, root)
         self.ledger.record_structural("decrease_key", 0)
-        self.ledger.finish_op(0, self.comparator.count - c0)
+        try:
+            if self.comparator(node.key, new_key):
+                raise ContractViolation(
+                    f"decrease_key to {new_key!r} would raise {node.key!r}")
+            node.key = new_key
+            top = sift_up(node, self.comparator)
+            cached = self._min
+            if cached is not None and top is root and root is not cached[2]:
+                self._keep_min(cached, h, index, root)
+        finally:
+            self.ledger.finish_op(0, self.comparator.count - c0)
 
     def delete(self, handle):
         """Remove the element behind handle.
@@ -219,6 +220,8 @@ class Queue:
         trees stay; the rest move as they are, with no comparison, into a
         new queue of self's type, policy and key order.  Handles follow
         their elements.  Each ledger records one "split" op for moved phi.
+        Cost: Forest.split's few list operations per height (only the
+        boundary bucket is sliced), no comparison and no carry.
         """
         self._require_alive()
         if not 0 <= fraction <= 1:
@@ -227,14 +230,8 @@ class Queue:
         other = type(self)(policy=self.policy, less=self.comparator.raw_less,
                            keep_records=self.ledger.records is not None,
                            keep_events=self.ledger.events is not None)
-        trees = list(self.forest.trees())
-        cut = int(fraction * len(trees))
-        self.forest = Forest(self.policy)
-        for tree in trees[:cut]:
-            self.forest.add_tree(tree)
-        for tree in trees[cut:]:
-            other.forest.add_tree(tree)
-        phi = other.forest.height_sum()
+        other.forest, phi = self.forest.split(
+            int(fraction * self.forest.tree_count()))
         self.ledger.record_structural("split", -phi)
         self.ledger.finish_op(0, 0)
         other.ledger.record_structural("split", phi)
@@ -247,7 +244,9 @@ class Queue:
         Both inputs are consumed: other is dead afterwards and self becomes
         the result.  Buckets concatenate height-wise with self's trees first,
         no tree changes height before fixing, and every handle from either
-        input stays valid against the result.
+        input stays valid against the result.  Cost before fixing:
+        Forest.meld's one list operation per height, no comparison; then
+        the carries run.  Other's ledger hands its phi over with its trees.
         """
         self._require_alive()
         other._require_alive()
@@ -260,12 +259,9 @@ class Queue:
             raise ContractViolation("meld across different comparators")
         self._min = other._min = None
         c0 = self.comparator.count + other.comparator.count
-        for h, bucket in enumerate(other.forest.roots):
-            for root in bucket:
-                self.forest.add_root(root, h)
+        self.forest.meld(other.forest)
         self.comparator.count += other.comparator.count
         self.ledger.absorb(other.ledger)
-        other.forest = Forest(other.policy)
         other.alive = False
         self.ledger.record_structural("meld", 0)
         fixes = self._run_fix()

@@ -4,14 +4,14 @@ a tracked multiset."""
 import math
 import random
 from collections import Counter
-from itertools import zip_longest
+from itertools import accumulate, zip_longest
 
 import pytest
 from hypothesis import example, given, strategies as st
 
 from triheap.errors import (ContractViolation, EmptyQueueError,
                             InvalidHandleError)
-from triheap.forest import FixPolicy
+from triheap.forest import FixPolicy, Forest
 from triheap.queue import Queue, make_queue, meld
 from triheap.tree import CountingComparator, detach_root
 
@@ -247,6 +247,18 @@ class TestMeld:
         with pytest.raises(ContractViolation):
             b.insert(1)
 
+    def test_consumed_queue_hands_its_phi_over(self):
+        a = make_queue()
+        b = make_queue()
+        for k in range(5):
+            b.insert(k)
+        phi = b.ledger.phi
+        assert phi > 0
+        a.meld(b)
+        assert (a.ledger.phi, b.ledger.phi) == (phi, 0)
+        assert b.comparator.count == b.ledger.comparisons
+        assert b.validate() == [] and a.validate() == []
+
     def test_handles_from_both_sides_stay_valid(self):
         a = make_queue()
         b = make_queue()
@@ -380,6 +392,136 @@ class TestSplit:
             [-2, -1] + [k for k in range(1, 29) if k != 15]
 
 
+def mixed_queue(policy, n, seed):
+    """n inserts of seeded keys, each followed by a delete-min one time in
+    five, so the digits vary and heights have empty buckets between them."""
+    rng = random.Random(seed)
+    q = Queue(policy=policy, keep_records=True)
+    for _ in range(n):
+        q.insert(rng.randrange(1000))
+        if rng.random() < 0.2:
+            q.delete_min()
+    return q
+
+
+def filed(forest):
+    """Per-height root lists as node ids, in bucket order."""
+    return [[id(root) for root in bucket] for bucket in forest.roots]
+
+
+def shape(node):
+    if node is None:
+        return None
+    return node.key, shape(node.left), shape(node.right)
+
+
+class TestBucketSplice:
+    """Forest.split and Forest.meld move whole buckets; these check that
+    they move exactly the trees, in exactly the order, that filing each
+    tree with add_root would, and that Queue.split and Queue.meld keep
+    their behavior on top of them."""
+
+    POLICIES = [FixPolicy(), FixPolicy("relaxed")]
+
+    @staticmethod
+    def fraction_for(cut, q):
+        """A float cut is the fraction itself; an int picks the end of one
+        height's bucket, so the cut lands exactly on a bucket boundary."""
+        if isinstance(cut, float):
+            return cut
+        ends = list(accumulate(q.forest.digits()))
+        if not ends:
+            return 0.0
+        end = ends[cut % len(ends)]
+        return 1.0 if end == ends[-1] else (end + 0.5) / ends[-1]
+
+    @given(policy=st.sampled_from(POLICIES), n=st.integers(0, 300),
+           seed=st.integers(0, 2 ** 16),
+           cut=st.one_of(st.sampled_from([0.0, 1.0]), st.integers(0, 12),
+                         st.floats(0, 1)))
+    @example(policy=FixPolicy(), n=0, seed=0, cut=0.5)
+    @example(policy=FixPolicy("relaxed"), n=300, seed=1, cut=0)
+    def test_split_keeps_a_prefix_and_meld_restores_it(self, policy, n,
+                                                       seed, cut):
+        q = mixed_queue(policy, n, seed)
+        fraction = self.fraction_for(cut, q)
+        trees = [(h, id(root)) for h, bucket in enumerate(q.forest.roots)
+                 for root in bucket]
+        count = int(fraction * len(trees))
+        if isinstance(cut, int) and trees:
+            ends = set(accumulate(q.forest.digits()))
+            assert count in ends
+
+        # Forest level, before any fix: the round trip files every root
+        # back in place, by identity and order.
+        before = filed(q.forest)
+        size, phi = q.forest.size, q.ledger.phi
+        moved, moved_phi = q.forest.split(count)
+        q.forest.meld(moved)
+        assert filed(q.forest) == before
+        assert q.forest.size == size and moved.roots == [] and \
+            moved.size == 0
+
+        other = q.split(fraction)
+        kept = [(h, id(root)) for h, bucket in enumerate(q.forest.roots)
+                for root in bucket]
+        gone = [(h, id(root)) for h, bucket in enumerate(other.forest.roots)
+                for root in bucket]
+        assert kept == trees[:count] and gone == trees[count:]
+        assert other.ledger.phi == moved_phi == sum(h for h, _ in gone)
+        assert q.ledger.phi == phi - moved_phi
+        assert len(q) == sum((2 << h) - 1 for h, _ in kept)
+        assert len(q) + len(other) == size
+        for half in (q, other):
+            assert not half.forest.roots or half.forest.roots[-1]
+            assert half.validate() == []
+        assert not {id(b) for b in q.forest.roots} & \
+            {id(b) for b in other.forest.roots}
+
+        # No bucket list is shared: an insert into one half leaves the
+        # other half's buckets as they were.
+        for target, bystander in ((q, other), (other, q)):
+            untouched = filed(bystander.forest)
+            target.insert(-1)
+            assert filed(bystander.forest) == untouched
+            assert target.validate() == [] and bystander.validate() == []
+
+    @given(policy=st.sampled_from(POLICIES), n_a=st.integers(0, 300),
+           n_b=st.integers(0, 300), seed=st.integers(0, 2 ** 16))
+    @example(policy=FixPolicy("relaxed"), n_a=0, n_b=40, seed=0)
+    @example(policy=FixPolicy(), n_a=40, n_b=0, seed=0)
+    def test_meld_files_like_add_root(self, policy, n_a, n_b, seed):
+        # Forest level: the splice puts every root where add_root would.
+        a, b = mixed_queue(policy, n_a, seed), mixed_queue(policy, n_b, ~seed)
+        reference = Forest(policy)
+        for forest in (a.forest, b.forest):
+            for h, bucket in enumerate(forest.roots):
+                for root in bucket:
+                    reference.add_root(root, h)
+        a.forest.meld(b.forest)
+        assert filed(a.forest) == filed(reference)
+        assert a.forest.size == reference.size
+        assert (b.forest.roots, b.forest.size) == ([], 0)
+
+        # Queue level: meld does the same carries, comparisons, phi and
+        # digits as a meld whose trees were filed one by one beforehand.
+        a, b = mixed_queue(policy, n_a, seed), mixed_queue(policy, n_b, ~seed)
+        a2, b2 = mixed_queue(policy, n_a, seed), mixed_queue(policy, n_b, ~seed)
+        for h, bucket in enumerate(b2.forest.roots):
+            for root in bucket:
+                a2.forest.add_root(root, h)
+        b2.forest = Forest(policy)
+        a.meld(b)
+        a2.meld(b2)
+        assert [[shape(r) for r in bucket] for bucket in a.forest.roots] == \
+            [[shape(r) for r in bucket] for bucket in a2.forest.roots]
+        assert (a.comparator.count, a.ledger.rearrangements, a.ledger.phi,
+                len(a.ledger.records)) == \
+            (a2.comparator.count, a2.ledger.rearrangements, a2.ledger.phi,
+             len(a2.ledger.records))
+        assert a.validate() == [] and b.validate() == []
+
+
 @pytest.mark.parametrize("op", ["delete_min", "delete"])
 def test_root_removal_shares_one_path(op, rng, monkeypatch):
     """delete_min and delete of the same height-3 root each detach one root
@@ -463,6 +605,30 @@ class TestDecreaseKey:
         assert (rec.op, rec.fixes, rec.comparisons) == ("decrease_key", 0, 1)
         assert q.validate() == []
         assert h.key == 5
+
+    @pytest.mark.parametrize("keys, where", [
+        ((1, 5), "cache upkeep"),
+        ((1, 5, 7), "sift"),
+        ((-1,), "increase check"),
+    ])
+    def test_raising_comparator_closes_its_op(self, keys, where):
+        # picky raises on {-1, 1}; decreasing the last key to -1 meets 1
+        # in the min-cache upkeep (two singletons, 1 cached), in sift_up
+        # (one height-1 tree rooted at 1), or in the increase check.
+        def picky(a, b):
+            if {a, b} == {-1, 1}:
+                raise ValueError("planted")
+            return a < b
+
+        q = Queue(less=picky, keep_records=True)
+        handles = [q.insert(k) for k in keys]
+        q.find_min()
+        new_key = 1 if where == "increase check" else -1
+        with pytest.raises(ValueError):
+            q.decrease_key(handles[-1], new_key)
+        assert q.comparator.count == q.ledger.comparisons
+        assert q.ledger.records[-1].op == "decrease_key"
+        assert not [p for p in q.validate(full=False) if "counted" in p]
 
     def test_equal_key_allowed(self):
         q = make_queue()
