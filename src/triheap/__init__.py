@@ -14,10 +14,9 @@ from .errors import (ContractViolation, EmptyQueueError, HeapError,
 from .forest import EAGER, RELAXED, FixPolicy, Forest
 from .ledger import OpRecord, PotentialLedger
 from .oracle import OracleQueue, Verdict, oracle_apply, run_differential
-from .queue import Queue, make_queue, meld
+from .queue import Queue
 from .tree import (CountingComparator, Handle, Node, PerfectTree,
-                   make_singleton, rearrange, sift_to_root, sift_up,
-                   split_root, validate_tree)
+                   sift_to_root, sift_up, validate_tree)
 from .workload import (QueueRunner, StatsRecord, WorkloadScript,
                        format_script, generate_script, parse_script)
 
@@ -29,7 +28,6 @@ __all__ = [
     "LedgerError", "Node", "OpRecord", "OracleQueue", "PerfectTree",
     "PotentialLedger", "Queue", "QueueRunner", "RELAXED", "SkewCounter",
     "StatsRecord", "Verdict", "WorkloadScript", "format_script",
-    "generate_script", "make_queue", "make_singleton", "meld",
-    "oracle_apply", "parse_script", "rearrange", "run_differential",
-    "sift_to_root", "sift_up", "split_root", "validate_tree",
+    "generate_script", "oracle_apply", "parse_script", "run_differential",
+    "sift_to_root", "sift_up", "validate_tree",
 ]

@@ -45,44 +45,35 @@ def run_sort(keys, policy=None, stats_sink=None):
     one StatsRecord per operation.
     """
     runner = QueueRunner(policy=policy)
-    queue = runner.queue
+    insert = runner.queue.insert
+    delete_min = runner.queue.delete_min
     n = len(keys)
-    if stats_sink is None:
-        insert = queue.insert
-        for key in keys:
-            insert(key)
-        delete_min = queue.delete_min
-        out = [delete_min()[0] for _ in range(n)]
-    else:
-        for i, key in enumerate(keys):
-            queue.insert(key)
+    for i, key in enumerate(keys):
+        insert(key)
+        if stats_sink is not None:
             stats_sink(runner.stats(i, "i"))
-        out = []
-        for i in range(n):
-            out.append(queue.delete_min()[0])
-            stats_sink(runner.stats(n + i, "dm"))
+    out = []
+    for i in range(n, 2 * n):
+        out.append(delete_min()[0])
+        if stats_sink is not None:
+            stats_sink(runner.stats(i, "dm"))
     return out, runner.stats(2 * n - 1 if n else 0, "dm" if n else "none")
 
 
-def _read_keys(path):
+def _read_text(path):
+    """The whole text of a file, or of stdin when path is "-"."""
     if path == "-":
-        text = sys.stdin.read()
-    else:
-        with open(path) as fh:
-            text = fh.read()
+        return sys.stdin.read()
+    with open(path) as fh:
+        return fh.read()
+
+
+def _read_keys(path):
+    text = _read_text(path)
     try:
         return [int(tok) for tok in text.split()]
     except ValueError as exc:
         raise ScriptParseError(f"bad key in input: {exc}") from exc
-
-
-def _read_script(path):
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        with open(path) as fh:
-            text = fh.read()
-    return parse_script(text)
 
 
 def cmd_sort(args):
@@ -109,21 +100,19 @@ def cmd_counter(args):
     write = sys.stdout.write
     if args.fmt == "table":
         write(f"{'step':>8} {'carries':>8}  digits\n")
-        for step in range(1, args.increments + 1):
-            counter.increment()
-            digits = " ".join(str(d) for d in counter.digits)
-            write(f"{step:>8} {counter.carries:>8}  {digits}\n")
+        row = "{:>8} {:>8}  {}\n"
     else:
         write("step,carries,digits\n")
-        for step in range(1, args.increments + 1):
-            counter.increment()
-            digits = " ".join(str(d) for d in counter.digits)
-            write(f"{step},{counter.carries},{digits}\n")
+        row = "{},{},{}\n"
+    for step in range(1, args.increments + 1):
+        counter.increment()
+        digits = " ".join(str(d) for d in counter.digits)
+        write(row.format(step, counter.carries, digits))
     return 0
 
 
 def cmd_verify(args):
-    script = _read_script(args.script)
+    script = parse_script(_read_text(args.script))
     verdict = run_differential(script, policy_from_args(args),
                                audit=args.audit)
     if verdict.passed:
@@ -153,7 +142,7 @@ def cmd_bench(args):
 
 
 def cmd_dot(args):
-    script = _read_script(args.script)
+    script = parse_script(_read_text(args.script))
     at = len(script.ops) if args.at is None else args.at
     if not 0 <= at <= len(script.ops):
         raise ScriptParseError(

@@ -78,10 +78,6 @@ class Forest:
         roots[height].append(root)
         self.size += (1 << (height + 1)) - 1
 
-    def add_tree(self, tree):
-        """Append a PerfectTree to its height bucket.  Never triggers fixing."""
-        self.add_root(tree.root, tree.height)
-
     def remove_root(self, height, index):
         """Take the root at (height, bucket position) out of the forest."""
         roots = self.roots
@@ -149,10 +145,6 @@ class Forest:
             if root in bucket:
                 return h, bucket.index(root)
         raise ContractViolation("node does not root any tree of this forest")
-
-    def digit(self, height):
-        """Number of trees of the given height (0 when absent)."""
-        return len(self.roots[height]) if height < len(self.roots) else 0
 
     def digits(self):
         """Dense digit vector from height 0 up to the tallest present tree."""

@@ -55,10 +55,6 @@ class Queue:
     def __len__(self):
         return self.forest.size
 
-    @property
-    def size(self):
-        return self.forest.size
-
     def _require_alive(self):
         if not self.alive:
             raise ContractViolation("queue was already consumed by meld")
@@ -289,13 +285,3 @@ class Queue:
             problems.append(f"cached minimum {root.key!r} at ({h}, {index}) "
                             f"is not scan_min's choice")
         return problems
-
-
-def make_queue(policy=None, less=operator.lt, keep_records=False):
-    """Fresh empty queue: size 0, phi 0, no trees at any height."""
-    return Queue(policy=policy, less=less, keep_records=keep_records)
-
-
-def meld(q1, q2):
-    """Meld two queues, consuming both; returns the combined queue."""
-    return q1.meld(q2)

@@ -1,17 +1,20 @@
 """Perfect heap-ordered binary trees and the triple-tree rearrangement step.
 
-Everything here is link-based: a tree is its root node plus a cached height,
-and all restructuring moves nodes (or node contents) around without copying
-elements.  The one nontrivial operation is rearrange(), which combines three
-equal-height trees into one taller tree and two shorter leftovers in constant
-time and exactly two key comparisons.
+Everything here is link-based: a tree is a root node whose height is kept
+by whoever files it (the forest keeps it as a bucket index), and all
+restructuring moves nodes (or node contents) around without copying
+elements.  The one nontrivial operation is rearrange_roots(), which makes
+the smallest of three equal-height roots adopt the other two and release
+its former children: one taller tree and two shorter leftovers, in constant
+time and exactly two key comparisons.  detach_root() removes a root and
+frees its two subtrees, heap-ordered as they stand, with no comparison.
+PerfectTree pairs a root with its height as a read-only view, for
+iteration and validate_tree().
 """
 
 from __future__ import annotations
 
 import operator
-
-from .errors import ContractViolation
 
 
 class Node:
@@ -61,7 +64,7 @@ class Handle:
 
 
 class PerfectTree:
-    """A root node plus its height h; holds exactly 2**(h+1) - 1 nodes."""
+    """Read-only view: a root node plus its height h, 2**(h+1) - 1 nodes."""
 
     __slots__ = ("root", "height")
 
@@ -108,20 +111,15 @@ class CountingComparator:
         return self.raw_less(a, b)
 
 
-def make_singleton(key, payload=None):
-    """Return a height-0 tree holding one element with a fresh live handle."""
-    node = Node(key, payload)
-    Handle(node)
-    return PerfectTree(node, 0)
-
-
 def rearrange_roots(r1, r2, r3, less):
-    """Node-level core of the rearrangement step.
+    """The rearrangement step, on three equal-height root nodes.
 
     The smallest of the three root nodes (two less() calls; ties keep the
     earliest argument) adopts the other two roots as children, in argument
-    order, and its own former children are released.  Returns (top,
-    old_left, old_right); the old children are None for singleton inputs.
+    order, and its own former children are released.  Only the links of
+    the three roots and of the released children change; no element is
+    copied, so every handle stays valid.  Returns (top, old_left,
+    old_right); the old children are None for singleton inputs.
     """
     top = r1
     if less(r2.key, top.key):
@@ -148,37 +146,8 @@ def rearrange_roots(r1, r2, r3, less):
     return top, old_left, old_right
 
 
-def rearrange(t1, t2, t3, less):
-    """Combine three equal-height trees into one bigger tree plus leftovers.
-
-    The smallest of the three roots (two comparisons; ties keep the earliest
-    argument) is detached from its tree and becomes the root of a new tree of
-    height h+1 whose children are the other two input roots, in argument
-    order.  The detached root's former subtrees come back as two height h-1
-    leftover trees (none when h == 0).  Only the three root nodes' links and
-    the new children's parent fields are touched; no element is copied, so
-    every handle stays valid.
-
-    Returns (big, leftovers) where leftovers is a tuple of zero or two trees.
-    """
-    h = t1.height
-    if t2.height != h or t3.height != h:
-        raise ContractViolation(
-            f"rearrange needs three trees of equal height, got "
-            f"{t1.height}/{t2.height}/{t3.height}")
-    if (t1 is t2 or t1 is t3 or t2 is t3 or t1.root is t2.root
-            or t1.root is t3.root or t2.root is t3.root):
-        raise ContractViolation("rearrange inputs must be three distinct trees")
-
-    top, old_left, old_right = rearrange_roots(t1.root, t2.root, t3.root, less)
-    big = PerfectTree(top, h + 1)
-    if old_left is None:
-        return big, ()
-    return big, (PerfectTree(old_left, h - 1), PerfectTree(old_right, h - 1))
-
-
 def detach_root(root):
-    """Node-level root removal: kills the root's handle, frees its children.
+    """Root removal: kills the root's handle, frees its children.
 
     Returns (left, right), both None for a singleton.  No comparisons; the
     freed subtrees are heap-ordered as they stand.
@@ -195,23 +164,6 @@ def detach_root(root):
         root.left = None
         root.right = None
     return left, right
-
-
-def split_root(t):
-    """Detach the root of t, killing its handle.
-
-    Returns (key, payload, leftovers): the leftovers are the root's two
-    subtrees of height h-1 (an empty tuple for a singleton).  They are
-    already heap-ordered, so no comparison is ever made here.
-    """
-    top = t.root
-    key = top.key
-    payload = top.payload
-    left, right = detach_root(top)
-    if left is None:
-        return key, payload, ()
-    h = t.height - 1
-    return key, payload, (PerfectTree(left, h), PerfectTree(right, h))
 
 
 def _swap_contents(a, b):

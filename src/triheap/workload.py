@@ -98,10 +98,7 @@ def format_script(script):
     if script.seed is not None:
         lines.append(f"# seed={script.seed}")
     for op in script.ops:
-        if op[0] == "meld-split":
-            lines.append(f"meld-split {op[1]:g}")
-        else:
-            lines.append(" ".join(str(x) for x in op))
+        lines.append(" ".join(str(x) for x in op))
     return "\n".join(lines) + "\n"
 
 

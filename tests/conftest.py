@@ -17,6 +17,13 @@ def perfect_size(height):
     return (1 << (height + 1)) - 1
 
 
+def singleton(key, payload=None):
+    """A height-0 root with a fresh live handle, as Queue.insert makes one."""
+    node = Node(key, payload)
+    Handle(node)
+    return node
+
+
 def build_perfect_heap(keys, rng=None):
     """Brute-force a random-shaped perfect heap holding exactly these keys."""
     rng = rng or random.Random(0)
@@ -25,8 +32,7 @@ def build_perfect_heap(keys, rng=None):
 
     def build(pool):
         pool = sorted(pool)
-        node = Node(pool[0])
-        Handle(node)
+        node = singleton(pool[0])
         rest = pool[1:]
         if rest:
             rng.shuffle(rest)

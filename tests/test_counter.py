@@ -2,7 +2,9 @@
 
 from triheap.counter import SkewCounter
 from triheap.forest import FixPolicy, Forest
-from triheap.tree import CountingComparator, make_singleton
+from triheap.tree import CountingComparator
+
+from conftest import singleton
 
 
 def test_one_increment():
@@ -47,7 +49,7 @@ def test_counter_matches_forest_insert_only():
         carries = 0
         for k in range(1, 2001):
             c.increment()
-            f.add_tree(make_singleton(k))
+            f.add_root(singleton(k), 0)
             carries += f.fix(less)
             assert f.digits() == c.digits, f"step {k} under {policy}"
             assert carries == c.carries, f"step {k} under {policy}"

@@ -7,15 +7,15 @@ import pytest
 from triheap import forest as forest_module
 from triheap.errors import ContractViolation, EmptyQueueError
 from triheap.forest import FixPolicy, Forest
-from triheap.tree import CountingComparator, PerfectTree, make_singleton
+from triheap.tree import CountingComparator, PerfectTree
 
-from conftest import build_perfect_heap
+from conftest import build_perfect_heap, singleton
 
 
 def forest_with_singletons(n, policy=None):
     f = Forest(policy)
     for k in range(n):
-        f.add_tree(make_singleton(k))
+        f.add_root(singleton(k), 0)
     return f
 
 
@@ -29,25 +29,26 @@ def phi_prime(f):
 
 
 class TestAddTree:
+    """add_root files a tree's root under its height."""
 
     def test_empty_plus_singleton(self):
         f = Forest()
-        t = make_singleton(4)
-        f.add_tree(t)
-        assert f.digit(0) == 1
+        root = singleton(4)
+        f.add_root(root, 0)
+        assert f.digits() == [1]
         assert f.size == 1
-        assert f.buckets[0] == [t.root]
+        assert f.buckets[0] == [root]
 
     def test_third_singleton_overflows_quietly(self):
         f = forest_with_singletons(3)
-        assert f.digit(0) == 3  # overflow pending, add_tree never fixes
+        assert f.digits() == [3]  # overflow pending, add_root never fixes
         assert f.size == 3
 
     def test_height2_tree_adds_seven(self, rng):
         f = Forest()
-        f.add_tree(build_perfect_heap(range(7), rng))
+        f.add_root(build_perfect_heap(range(7), rng).root, 2)
         assert f.size == 7
-        assert f.digit(2) == 1
+        assert f.digits() == [0, 0, 1]
 
 
 class TestFixEager:
@@ -55,17 +56,15 @@ class TestFixEager:
     def test_three_singletons(self):
         f = forest_with_singletons(3)
         assert f.fix(cmp()) == 1
-        assert f.digit(0) == 0
-        assert f.digit(1) == 1
+        assert f.digits() == [0, 1]
 
     def test_three_height1_trees(self, rng):
         f = Forest()
         for i in range(3):
-            f.add_tree(build_perfect_heap(range(10 * i, 10 * i + 3), rng))
+            tree = build_perfect_heap(range(10 * i, 10 * i + 3), rng)
+            f.add_root(tree.root, 1)
         assert f.fix(cmp()) == 1
-        assert f.digit(2) == 1
-        assert f.digit(1) == 0
-        assert f.digit(0) == 2
+        assert f.digits() == [2, 0, 1]
         assert f.size == 9
 
     def test_cascade_lowest_first(self, rng):
@@ -73,9 +72,10 @@ class TestFixEager:
         # bucket 0, which then overflows and is fixed in turn.
         f = Forest()
         for k in (100, 200):
-            f.add_tree(make_singleton(k))
+            f.add_root(singleton(k), 0)
         for i in range(3):
-            f.add_tree(build_perfect_heap(range(10 * i, 10 * i + 3), rng))
+            tree = build_perfect_heap(range(10 * i, 10 * i + 3), rng)
+            f.add_root(tree.root, 1)
         before = phi_prime(f)
         carries = f.fix(cmp())
         assert carries == 2
@@ -93,7 +93,8 @@ class TestFixEager:
         # one per carry.
         f = Forest()
         for i in range(3):
-            f.add_tree(build_perfect_heap(range(10 * i, 10 * i + 3), rng))
+            tree = build_perfect_heap(range(10 * i, 10 * i + 3), rng)
+            f.add_root(tree.root, 1)
         before = f.height_sum()
         carries = f.fix(cmp())
         assert carries == 1
@@ -109,7 +110,7 @@ class TestFixEager:
         f = Forest()
         n = 0
         for _ in range(2000):
-            f.add_tree(make_singleton(rng.randrange(10_000)))
+            f.add_root(singleton(rng.randrange(10_000)), 0)
             n += 1
             f.fix(cmp())
             assert f.max_digit() <= 2
@@ -122,7 +123,7 @@ class TestFixEager:
             f = Forest()
             r = random.Random(99)
             for _ in range(500):
-                f.add_tree(make_singleton(r.randrange(100)))
+                f.add_root(singleton(r.randrange(100)), 0)
                 f.fix(cmp())
             digit_runs.append((f.digits(),
                                [n.key for h in sorted(f.buckets)
@@ -159,7 +160,7 @@ class TestFixRelaxed:
     def test_bound_holds_over_random_adds(self, rng):
         f = Forest(self.relaxed())
         for _ in range(2000):
-            f.add_tree(make_singleton(rng.randrange(10_000)))
+            f.add_root(singleton(rng.randrange(10_000)), 0)
             f.fix(cmp())
             assert f.max_digit() <= 4
         assert f.validate() == []
@@ -168,7 +169,7 @@ class TestFixRelaxed:
         for policy in (FixPolicy(), self.relaxed()):
             f = Forest(policy)
             for _ in range(300):
-                f.add_tree(make_singleton(rng.randrange(100)))
+                f.add_root(singleton(rng.randrange(100)), 0)
                 before = phi_prime(f)
                 carries = f.fix(cmp())
                 assert before - phi_prime(f) == carries
@@ -185,33 +186,33 @@ class TestScanMin:
 
     def test_min_across_heights(self, rng):
         f = Forest()
-        f.add_tree(make_singleton(4))
+        f.add_root(singleton(4), 0)
         t = build_perfect_heap([2, 5, 9], rng)
-        f.add_tree(t)
-        f.add_tree(make_singleton(9))
+        f.add_root(t.root, t.height)
+        f.add_root(singleton(9), 0)
         h, _, root = f.scan_min(cmp())
         assert (h, root.key) == (1, 2)
 
     def test_tie_prefers_lower_height(self, rng):
         f = Forest()
-        f.add_tree(make_singleton(3))
-        f.add_tree(build_perfect_heap([3, 4, 5, 6, 7, 8, 9], rng))
+        f.add_root(singleton(3), 0)
+        f.add_root(build_perfect_heap([3, 4, 5, 6, 7, 8, 9], rng).root, 2)
         h, i, root = f.scan_min(cmp())
         assert h == 0 and i == 0
 
     def test_tie_prefers_earlier_position(self):
         f = Forest()
-        first = make_singleton(3)
-        f.add_tree(first)
-        f.add_tree(make_singleton(3))
+        first = singleton(3)
+        f.add_root(first, 0)
+        f.add_root(singleton(3), 0)
         _, i, root = f.scan_min(cmp())
-        assert i == 0 and root is first.root
+        assert i == 0 and root is first
 
     def test_comparison_count(self, rng):
         f = Forest()
         for _ in range(7):
-            f.add_tree(make_singleton(rng.randrange(100)))
-        f.add_tree(build_perfect_heap(range(3), rng))
+            f.add_root(singleton(rng.randrange(100)), 0)
+        f.add_root(build_perfect_heap(range(3), rng).root, 1)
         less = cmp()
         f.scan_min(less)
         assert less.count == f.tree_count() - 1
@@ -225,15 +226,12 @@ class TestDigits:
 
     def test_empty(self):
         f = Forest()
-        assert f.digit(0) == 0
-        assert f.digit(17) == 0
         assert f.digits() == []
 
     def test_three_adds_then_fix(self):
         f = forest_with_singletons(3)
         f.fix(cmp())
-        assert f.digit(0) == 0
-        assert f.digit(1) == 1
+        assert f.digits() == [0, 1]
 
     def test_size_conservation_after_ten(self):
         f = forest_with_singletons(10)
@@ -273,7 +271,7 @@ def test_full_validate_checks_each_tree_through_validate_tree(rng,
     trees = [build_perfect_heap(rng.sample(range(100), size), rng)
              for size in (1, 1, 3, 15)]
     for t in trees:
-        f.add_tree(t)
+        f.add_root(t.root, t.height)
     assert f.validate(full=False) == []
     assert seen == []
     assert f.validate(full=True) == []
@@ -287,7 +285,8 @@ def test_root_filed_twice_is_reported(rng):
     every digit, the size and each tree valid; only the filing shows it."""
     f = Forest()
     for keys in (range(0, 3), range(10, 17)):
-        f.add_tree(build_perfect_heap(list(keys), rng))
+        t = build_perfect_heap(list(keys), rng)
+        f.add_root(t.root, t.height)
     twice = f.roots[1][0]
     f.add_root(twice, 1)
     assert f.digits() == [0, 2, 1]

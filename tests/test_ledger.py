@@ -6,10 +6,10 @@ from triheap.errors import LedgerError
 from triheap.forest import FixPolicy, Forest
 from triheap.ledger import PotentialLedger
 from triheap.queue import Queue
-from triheap.tree import CountingComparator, make_singleton
+from triheap.tree import CountingComparator
 from triheap.workload import QueueRunner, generate_script
 
-from conftest import build_perfect_heap
+from conftest import build_perfect_heap, singleton
 
 
 class CallCountingLedger(PotentialLedger):
@@ -46,7 +46,8 @@ def test_tall_carry_lowers_height_sum_by_one(rng, height):
     size = (1 << (height + 1)) - 1
     f = Forest()
     for i in range(3):
-        f.add_tree(build_perfect_heap(range(100 * i, 100 * i + size), rng))
+        tree = build_perfect_heap(range(100 * i, 100 * i + size), rng)
+        f.add_root(tree.root, height)
     before = f.height_sum()
     ledger = fix_with_ledger(f)
     assert f.height_sum() == before - 1
@@ -59,9 +60,10 @@ def test_cascade_is_charged_once_per_fix(rng):
     # there, so a singleton carry follows: net change -1 + 1.
     f = Forest()
     for k in (100, 200):
-        f.add_tree(make_singleton(k))
+        f.add_root(singleton(k), 0)
     for i in range(3):
-        f.add_tree(build_perfect_heap(range(10 * i, 10 * i + 3), rng))
+        tree = build_perfect_heap(range(10 * i, 10 * i + 3), rng)
+        f.add_root(tree.root, 1)
     before = f.height_sum()
     ledger = fix_with_ledger(f)
     assert ledger.calls == 1
@@ -85,7 +87,7 @@ def test_three_drops_from_three():
 def test_singleton_rearrangement_raises_phi():
     f = Forest()
     for k in range(3):
-        f.add_tree(make_singleton(k))
+        f.add_root(singleton(k), 0)
     before = f.height_sum()
     ledger = fix_with_ledger(f)
     assert f.height_sum() == 1
@@ -96,7 +98,7 @@ def test_singleton_rearrangement_raises_phi():
 
 def test_fix_without_carries_leaves_ledger_alone():
     f = Forest()
-    f.add_tree(make_singleton(1))
+    f.add_root(singleton(1), 0)
     ledger = fix_with_ledger(f)
     assert ledger.calls == 0
     assert ledger.rearrangements == 0

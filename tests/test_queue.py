@@ -9,10 +9,11 @@ from itertools import accumulate, zip_longest
 import pytest
 from hypothesis import example, given, strategies as st
 
+import triheap
 from triheap.errors import (ContractViolation, EmptyQueueError,
                             InvalidHandleError)
 from triheap.forest import FixPolicy, Forest
-from triheap.queue import Queue, make_queue, meld
+from triheap.queue import Queue
 from triheap.tree import CountingComparator, detach_root
 
 from conftest import build_perfect_heap
@@ -43,40 +44,45 @@ def reference_carry_heights(digits, policy):
             threshold = 5
 
 
+def test_every_exported_name_resolves():
+    missing = [name for name in triheap.__all__
+               if not hasattr(triheap, name)]
+    assert missing == []
+
+
 class TestMakeQueue:
 
     def test_empty(self):
-        q = make_queue()
+        q = Queue()
         assert len(q) == 0
         with pytest.raises(EmptyQueueError):
             q.find_min()
 
     def test_phi_starts_at_zero(self):
-        assert make_queue().ledger.phi == 0
+        assert Queue().ledger.phi == 0
 
     def test_all_digits_zero(self):
-        q = make_queue()
-        assert all(q.forest.digit(h) == 0 for h in range(10))
+        q = Queue()
+        assert q.forest.digits() == []
 
 
 class TestInsert:
 
     def test_single(self):
-        q = make_queue()
+        q = Queue()
         q.insert(5)
-        assert q.forest.digit(0) == 1
+        assert q.forest.digits() == [1]
         assert q.find_min() == (5, None)
 
     def test_three_eager_collapse(self):
-        q = make_queue()
+        q = Queue()
         for k in (5, 3, 9):
             q.insert(k)
-        assert q.forest.digit(0) == 0
-        assert q.forest.digit(1) == 1
+        assert q.forest.digits() == [0, 1]
         assert q.find_min()[0] == 3
 
     def test_seven_inserts_invariants(self):
-        q = make_queue()
+        q = Queue()
         for k in range(1, 8):
             q.insert(k)
         digits = q.forest.digits()
@@ -93,7 +99,7 @@ class TestInsert:
         before any root leaves its bucket.  The digit left at 3 and the
         insert's ledger record that finish_op never closed are open item 4
         of ROADMAP.md."""
-        q = make_queue()
+        q = Queue()
         q.insert(1)
         q.insert(2)
         with pytest.raises(TypeError):
@@ -103,7 +109,7 @@ class TestInsert:
         assert q.validate() == ["digit 3 at height 0 exceeds bound 2"]
 
     def test_payload_round_trip(self):
-        q = make_queue()
+        q = Queue()
         q.insert(3, payload="three")
         assert q.find_min() == (3, "three")
 
@@ -111,7 +117,7 @@ class TestInsert:
 class TestFindMin:
 
     def test_examples(self):
-        q = make_queue()
+        q = Queue()
         q.insert(5)
         assert q.find_min()[0] == 5
         q.insert(3)
@@ -119,7 +125,7 @@ class TestFindMin:
         assert q.find_min()[0] == 3
 
     def test_does_not_mutate(self):
-        q = make_queue()
+        q = Queue()
         for k in (4, 2, 7, 1):
             q.insert(k)
         before = q.forest.digits()
@@ -128,7 +134,7 @@ class TestFindMin:
         assert len(q) == 4
 
     def test_matches_tracked_min_on_random_states(self, rng):
-        q = make_queue()
+        q = Queue()
         shadow = []
         for _ in range(10_000):
             if shadow and rng.random() < 0.4:
@@ -139,7 +145,7 @@ class TestFindMin:
                 shadow.append(k)
 
     def test_comparison_bound_eager(self, rng):
-        q = make_queue()
+        q = Queue()
         for _ in range(500):
             q.insert(rng.randrange(10_000))
             before = q.comparator.count
@@ -152,15 +158,15 @@ class TestFindMin:
 class TestDeleteMin:
 
     def test_height1_split(self):
-        q = make_queue()
+        q = Queue()
         for k in (1, 2, 3):
             q.insert(k)
         assert q.delete_min()[0] == 1
-        assert q.forest.digit(0) == 2
+        assert q.forest.digits() == [2]
         assert len(q) == 2
 
     def test_sorts_seven(self):
-        q = make_queue()
+        q = Queue()
         for k in (4, 6, 2, 7, 1, 3, 5):
             q.insert(k)
         assert [q.delete_min()[0] for _ in range(7)] == [1, 2, 3, 4, 5, 6, 7]
@@ -168,7 +174,7 @@ class TestDeleteMin:
     def test_structural_delta_height3(self, rng):
         q = Queue(keep_records=True)
         tree = build_perfect_heap(range(15), rng)
-        q.forest.add_tree(tree)
+        q.forest.add_root(tree.root, tree.height)
         q.ledger.record_structural("adopt", tree.height)
         q.ledger.finish_op(0, 0)
         q.delete_min()
@@ -177,7 +183,7 @@ class TestDeleteMin:
 
     def test_empty_raises(self):
         with pytest.raises(EmptyQueueError):
-            make_queue().delete_min()
+            Queue().delete_min()
 
     def test_comparison_bound_with_fixes(self, rng):
         q = Queue(keep_records=True)
@@ -195,61 +201,61 @@ class TestDeleteMin:
 class TestMeld:
 
     def test_empty_into_queue(self):
-        a = make_queue()
-        b = make_queue()
+        a = Queue()
+        b = Queue()
         for k in (5, 1, 8):
             b.insert(k)
         digits = b.forest.digits()
-        merged = meld(b, a)
+        merged = b.meld(a)
         assert merged is b
         assert not a.alive
         assert merged.forest.digits() == digits
         assert merged.find_min()[0] == 1
 
     def test_two_singleton_queues(self):
-        a = make_queue()
+        a = Queue()
         a.insert(4)
-        b = make_queue()
+        b = Queue()
         b.insert(9)
-        merged = meld(a, b)
+        merged = a.meld(b)
         assert merged.forest.digits() == [2]
         assert len(merged) == 2
 
     def test_drains_sorted(self):
-        a = make_queue()
+        a = Queue()
         for k in range(1, 11):
             a.insert(k)
-        b = make_queue()
+        b = Queue()
         for k in range(11, 21):
             b.insert(k)
-        merged = meld(a, b)
+        merged = a.meld(b)
         assert [merged.delete_min()[0] for _ in range(20)] == list(range(1, 21))
         assert merged.validate() == []
 
     def test_buckets_concatenate_q1_first(self):
-        a = make_queue()
+        a = Queue()
         a.insert(7)
-        b = make_queue()
+        b = Queue()
         b.insert(2)
-        merged = meld(a, b)
+        merged = a.meld(b)
         assert [n.key for n in merged.forest.buckets[0]] == [7, 2]
 
     def test_policy_mismatch_rejected(self):
-        a = make_queue()
-        b = make_queue(policy=FixPolicy("relaxed"))
+        a = Queue()
+        b = Queue(policy=FixPolicy("relaxed"))
         with pytest.raises(ContractViolation):
-            meld(a, b)
+            a.meld(b)
 
     def test_consumed_queue_unusable(self):
-        a = make_queue()
-        b = make_queue()
-        meld(a, b)
+        a = Queue()
+        b = Queue()
+        a.meld(b)
         with pytest.raises(ContractViolation):
             b.insert(1)
 
     def test_consumed_queue_hands_its_phi_over(self):
-        a = make_queue()
-        b = make_queue()
+        a = Queue()
+        b = Queue()
         for k in range(5):
             b.insert(k)
         phi = b.ledger.phi
@@ -260,11 +266,11 @@ class TestMeld:
         assert b.validate() == [] and a.validate() == []
 
     def test_handles_from_both_sides_stay_valid(self):
-        a = make_queue()
-        b = make_queue()
+        a = Queue()
+        b = Queue()
         ha = a.insert(10)
         hb = b.insert(20)
-        merged = meld(a, b)
+        merged = a.meld(b)
         merged.decrease_key(hb, 1)
         assert merged.find_min()[0] == 1
         merged.decrease_key(ha, 0)
@@ -297,7 +303,7 @@ class TestMeld:
                                                 b.forest.digits(),
                                                 fillvalue=0)]
         before = len(a.ledger.events) + len(b.ledger.events)
-        merged = meld(a, b)
+        merged = a.meld(b)
         assert ([h for h, _ in merged.ledger.events[before:]]
                 == reference_carry_heights(digits, policy))
         assert merged.validate() == []
@@ -307,7 +313,7 @@ class TestSplit:
 
     @staticmethod
     def filled(n, **kw):
-        q = make_queue(**kw)
+        q = Queue(**kw)
         handles = [q.insert(k) for k in range(n)]
         return q, handles
 
@@ -535,7 +541,7 @@ def test_root_removal_shares_one_path(op, rng, monkeypatch):
 
     q = Queue(keep_records=True)
     t = build_perfect_heap(range(15), rng)
-    q.forest.add_tree(t)
+    q.forest.add_root(t.root, t.height)
     q.ledger.record_structural("adopt", t.height)
     q.ledger.finish_op(0, 0)
     handle = t.root.left.left.left.handle
@@ -554,7 +560,7 @@ def test_root_removal_shares_one_path(op, rng, monkeypatch):
 class TestDecreaseKey:
 
     def test_root_decrease_no_swaps(self):
-        q = make_queue()
+        q = Queue()
         h = q.insert(5)
         q.decrease_key(h, 2)
         assert q.find_min()[0] == 2
@@ -562,7 +568,7 @@ class TestDecreaseKey:
 
     def test_forced_swap_example(self):
         # One height-1 tree rooted at 2 with children 5 and 7.
-        q = make_queue()
+        q = Queue()
         q.insert(5)
         q.insert(2)
         h7 = q.insert(7)
@@ -574,7 +580,7 @@ class TestDecreaseKey:
         assert q.validate() == []
 
     def test_digits_and_phi_unchanged(self):
-        q = make_queue()
+        q = Queue()
         handles = [q.insert(k) for k in range(20)]
         digits = q.forest.digits()
         phi = q.ledger.phi
@@ -583,14 +589,14 @@ class TestDecreaseKey:
         assert q.ledger.phi == phi
 
     def test_dead_handle_rejected(self):
-        q = make_queue()
+        q = Queue()
         h = q.insert(1)
         q.delete_min()
         with pytest.raises(InvalidHandleError):
             q.decrease_key(h, 0)
 
     def test_increase_rejected(self):
-        q = make_queue()
+        q = Queue()
         h = q.insert(5)
         with pytest.raises(ContractViolation):
             q.decrease_key(h, 6)
@@ -631,14 +637,14 @@ class TestDecreaseKey:
         assert not [p for p in q.validate(full=False) if "counted" in p]
 
     def test_equal_key_allowed(self):
-        q = make_queue()
+        q = Queue()
         h = q.insert(5)
         q.decrease_key(h, 5)
         assert q.find_min()[0] == 5
 
     def test_foreign_handle_rejected_before_any_comparison(self):
-        a = make_queue()
-        b = make_queue()
+        a = Queue()
+        b = Queue()
         handles = [b.insert(k) for k in range(9)]
         a.insert(10)
         a.insert(11)
@@ -657,7 +663,7 @@ class TestDecreaseKey:
 class TestDelete:
 
     def test_only_element(self):
-        q = make_queue()
+        q = Queue()
         h = q.insert(42)
         q.delete(h)
         assert len(q) == 0
@@ -666,7 +672,7 @@ class TestDelete:
             q.find_min()
 
     def test_middle_of_height1_tree(self):
-        q = make_queue()
+        q = Queue()
         q.insert(1)
         h2 = q.insert(2)
         q.insert(3)
@@ -678,15 +684,15 @@ class TestDelete:
         assert not h2.alive
 
     def test_dead_handle_rejected(self):
-        q = make_queue()
+        q = Queue()
         h = q.insert(1)
         q.delete(h)
         with pytest.raises(InvalidHandleError):
             q.delete(h)
 
     def test_foreign_handle_rejected_before_any_swap(self):
-        a = make_queue()
-        b = make_queue()
+        a = Queue()
+        b = Queue()
         handles = [b.insert(k) for k in range(9)]
         a.insert(10)
         a.insert(11)
@@ -698,7 +704,7 @@ class TestDelete:
         assert [b.delete_min()[0] for _ in range(9)] == list(range(9))
 
     def test_random_deletes_against_shadow(self, rng):
-        q = make_queue()
+        q = Queue()
         shadow = {}
         for i in range(2000):
             roll = rng.random()
@@ -718,14 +724,14 @@ class TestDelete:
 class TestSize:
 
     def test_counts(self):
-        q = make_queue()
-        assert q.size == 0
+        q = Queue()
+        assert len(q) == 0
         for k in range(5):
             q.insert(k)
-        assert q.size == 5
+        assert len(q) == 5
         q.delete_min()
         q.delete_min()
-        assert q.size == 3
+        assert len(q) == 3
 
 
 def fresh_scan(q):
@@ -821,7 +827,7 @@ class TestMinCache:
         """The cached root sits at height 0 (one insert) or 1 (three), so
         both sides of the tie rule compare "x" with an int, which raises
         after the insert's fix made no carry."""
-        q = make_queue()
+        q = Queue()
         for k in range(1, inserts + 1):
             q.insert(k)
         q.find_min()
@@ -897,7 +903,7 @@ class TestMinCache:
         assert rec.comparisons == trees - 1 + 2 * rec.fixes
 
     def test_validate_reports_a_stale_cache(self):
-        q = make_queue()
+        q = Queue()
         for k in (1, 2):
             q.insert(k)
         q.find_min()
@@ -907,7 +913,7 @@ class TestMinCache:
             "cached minimum 2 at (0, 1) is not scan_min's choice"]
 
     def test_validate_reports_comparison_drift(self):
-        q = make_queue()
+        q = Queue()
         for k in (1, 2, 3):
             q.insert(k)
         q.comparator.count += 1
@@ -924,7 +930,7 @@ def test_no_sift_down_exists_anywhere():
     for module in (triheap.tree, triheap.forest, triheap.queue):
         assert not any("sift_down" in name or "bubble_down" in name
                        for name in dir(module))
-    q = make_queue()
+    q = Queue()
     for k in (1, 2, 3):
         q.insert(k)
     before = q.comparator.count
@@ -935,7 +941,7 @@ def test_no_sift_down_exists_anywhere():
 
 
 def test_relaxed_policy_end_to_end(rng):
-    q = make_queue(policy=FixPolicy("relaxed"))
+    q = Queue(policy=FixPolicy("relaxed"))
     keys = [rng.randrange(1 << 16) for _ in range(500)]
     for k in keys:
         q.insert(k)
@@ -945,7 +951,7 @@ def test_relaxed_policy_end_to_end(rng):
 
 
 def test_custom_comparator_max_heap():
-    q = make_queue(less=lambda a, b: a > b)
+    q = Queue(less=lambda a, b: a > b)
     for k in (3, 9, 1):
         q.insert(k)
     assert q.find_min()[0] == 9
@@ -959,7 +965,7 @@ def test_parallel_queues_are_independent():
 
     def work(tag, seed):
         rng = random.Random(seed)
-        q = make_queue()
+        q = Queue()
         keys = [rng.randrange(10_000) for _ in range(2000)]
         for k in keys:
             q.insert(k)

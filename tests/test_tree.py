@@ -1,63 +1,84 @@
-"""Tree-core: singletons, rearrangement, root splitting, sift-up, validate."""
+"""Tree-core: singletons, rearrangement, root detaching, sift-up, validate."""
 
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from triheap.errors import ContractViolation
-from triheap.tree import (CountingComparator, Handle, Node, make_singleton,
-                          rearrange, sift_to_root, sift_up, split_root,
+from triheap.tree import (CountingComparator, Handle, Node, PerfectTree,
+                          detach_root, rearrange_roots, sift_to_root, sift_up,
                           validate_tree)
 
-from conftest import build_perfect_heap, link_snapshot, perfect_size, tree_keys
+from conftest import (build_perfect_heap, link_snapshot, perfect_size,
+                      singleton, tree_keys)
 
 
 def cmp():
     return CountingComparator()
 
 
+def carried(out, h):
+    """rearrange_roots' output for three height-h roots, as PerfectTree
+    views: the height-(h+1) tree and its leftovers (none when h == 0)."""
+    top, left, right = out
+    if h == 0:
+        assert left is None and right is None
+        return PerfectTree(top, 1), ()
+    return PerfectTree(top, h + 1), (PerfectTree(left, h - 1),
+                                     PerfectTree(right, h - 1))
+
+
+def roots(trees):
+    return [t.root for t in trees]
+
+
 class TestMakeSingleton:
+    """A singleton is a Node linked to a fresh Handle, as Queue.insert
+    makes one; PerfectTree views it at height 0."""
 
     def test_basic(self):
-        t = make_singleton(7)
+        node = Node(7)
+        handle = Handle(node)
+        t = PerfectTree(node, 0)
         assert t.height == 0
         assert t.size == 1
         assert t.root.key == 7
-        assert t.root.handle.alive
-        assert t.root.handle.node is t.root
+        assert handle.alive and node.handle is handle
+        assert handle.node is t.root
         assert validate_tree(t) == []
 
     def test_zero_key(self):
-        t = make_singleton(0)
+        t = PerfectTree(singleton(0), 0)
         assert t.height == 0
         assert t.size == 1
+        assert t.root.handle.key == 0
 
     def test_size_identity(self):
         assert perfect_size(0) == 1
-        assert make_singleton(1).size == 2 ** (0 + 1) - 1
+        assert PerfectTree(singleton(1), 0).size == 2 ** (0 + 1) - 1
 
 
 class TestRearrange:
+    """rearrange_roots on three equal-height roots."""
 
     def test_three_singletons(self):
-        t1, t2, t3 = make_singleton(5), make_singleton(3), make_singleton(9)
+        r1, r2, r3 = singleton(5), singleton(3), singleton(9)
         less = cmp()
-        big, leftovers = rearrange(t1, t2, t3, less)
-        assert leftovers == ()
-        assert big.height == 1
-        assert big.root.key == 3
-        assert big.root.left.key == 5
-        assert big.root.right.key == 9
+        top, left, right = rearrange_roots(r1, r2, r3, less)
+        assert left is None and right is None
+        assert top is r2
+        assert top.key == 3
+        assert top.left.key == 5
+        assert top.right.key == 9
         assert less.count == 2
-        assert validate_tree(big) == []
+        assert validate_tree(PerfectTree(top, 1)) == []
 
     def test_height2_sizes(self, rng):
         # Fig-style: three height-2 trees -> one height-3 plus two height-1.
         trees = [build_perfect_heap(range(i * 10, i * 10 + 7), rng)
                  for i in range(3)]
         all_keys = sorted(k for t in trees for k in tree_keys(t))
-        big, leftovers = rearrange(*trees, cmp())
+        big, leftovers = carried(rearrange_roots(*roots(trees), cmp()), 2)
         assert big.height == 3 and big.size == 15
         assert [t.height for t in leftovers] == [1, 1]
         assert 7 + 7 + 7 == 15 + 3 + 3
@@ -72,47 +93,35 @@ class TestRearrange:
                  for _ in range(3)]
         before = sum(t.height for t in trees)
         assert before == 6
-        big, leftovers = rearrange(*trees, cmp())
+        big, leftovers = carried(rearrange_roots(*roots(trees), cmp()), 2)
         after = big.height + sum(t.height for t in leftovers)
         assert after == 5
         assert after - before == -1
 
     def test_tie_earliest_argument_wins(self):
-        t1, t2, t3 = make_singleton(4), make_singleton(4), make_singleton(8)
-        big, _ = rearrange(t1, t2, t3, cmp())
-        assert big.root is t1.root
-        u1, u2, u3 = make_singleton(8), make_singleton(4), make_singleton(4)
-        big, _ = rearrange(u1, u2, u3, cmp())
-        assert big.root is u2.root
+        r1, r2, r3 = singleton(4), singleton(4), singleton(8)
+        top, _, _ = rearrange_roots(r1, r2, r3, cmp())
+        assert top is r1
+        u1, u2, u3 = singleton(8), singleton(4), singleton(4)
+        top, _, _ = rearrange_roots(u1, u2, u3, cmp())
+        assert top is u2
 
     def test_child_order_follows_arguments(self):
-        # Minimum in the middle: children are (t1, t3); at the end: (t1, t2).
-        t1, t2, t3 = make_singleton(5), make_singleton(1), make_singleton(9)
-        big, _ = rearrange(t1, t2, t3, cmp())
-        assert (big.root.left, big.root.right) == (t1.root, t3.root)
-        u1, u2, u3 = make_singleton(5), make_singleton(9), make_singleton(1)
-        big, _ = rearrange(u1, u2, u3, cmp())
-        assert (big.root.left, big.root.right) == (u1.root, u2.root)
+        # Minimum in the middle: children are (r1, r3); at the end: (r1, r2).
+        r1, r2, r3 = singleton(5), singleton(1), singleton(9)
+        top, _, _ = rearrange_roots(r1, r2, r3, cmp())
+        assert (top.left, top.right) == (r1, r3)
+        u1, u2, u3 = singleton(5), singleton(9), singleton(1)
+        top, _, _ = rearrange_roots(u1, u2, u3, cmp())
+        assert (top.left, top.right) == (u1, u2)
 
     def test_exactly_two_comparisons(self, rng):
         for h in (0, 1, 2):
             trees = [build_perfect_heap(rng.sample(range(999), perfect_size(h)),
                                         rng) for _ in range(3)]
             less = cmp()
-            rearrange(*trees, less)
+            rearrange_roots(*roots(trees), less)
             assert less.count == 2
-
-    def test_height_mismatch_rejected(self, rng):
-        t1 = make_singleton(1)
-        t2 = make_singleton(2)
-        t3 = build_perfect_heap([3, 4, 5], rng)
-        with pytest.raises(ContractViolation):
-            rearrange(t1, t2, t3, cmp())
-
-    def test_aliased_input_rejected(self):
-        t1, t2 = make_singleton(1), make_singleton(2)
-        with pytest.raises(ContractViolation):
-            rearrange(t1, t2, t1, cmp())
 
     def test_touches_only_the_three_roots(self, rng):
         trees = [build_perfect_heap(rng.sample(range(10_000), 15), rng)
@@ -120,10 +129,9 @@ class TestRearrange:
         before = {}
         for t in trees:
             before.update(link_snapshot(t))
-        roots = {id(t.root) for t in trees}
-        big, leftovers = rearrange(*trees, cmp())
-        old_children = {id(t.root) for t in leftovers}
-        allowed = roots | old_children
+        allowed = {id(root) for root in roots(trees)}
+        big, leftovers = carried(rearrange_roots(*roots(trees), cmp()), 3)
+        allowed |= {id(t.root) for t in leftovers}
         details = {}
         for t in (big, *leftovers):
             details.update(link_snapshot(t))
@@ -139,33 +147,39 @@ class TestRearrange:
         trees = [build_perfect_heap(rng.sample(range(500), 7), rng)
                  for _ in range(3)]
         handles = {n.handle: n.key for t in trees for n in t.nodes()}
-        rearrange(*trees, cmp())
+        rearrange_roots(*roots(trees), cmp())
         for handle, key in handles.items():
             assert handle.alive and handle.node.key == key
 
 
 class TestSplitRoot:
+    """detach_root: a root leaves its tree, its two subtrees stay."""
 
     def test_height1(self, rng):
         t = build_perfect_heap([1, 2, 3], rng)
-        root_handle = t.root.handle
-        key, _, leftovers = split_root(t)
-        assert key == 1
-        assert not root_handle.alive
+        root = t.root
+        root_handle = root.handle
+        leftovers = [PerfectTree(l, 0) for l in detach_root(root)]
+        assert root.key == 1
+        assert not root_handle.alive and root.handle is None
+        assert root.left is None and root.right is None
         assert sorted(l.root.key for l in leftovers) == [2, 3]
-        assert all(l.height == 0 for l in leftovers)
         for l in leftovers:
+            assert l.root.parent is None
             assert validate_tree(l) == []
 
     def test_singleton(self):
-        key, payload, leftovers = split_root(make_singleton(9, "p"))
-        assert (key, payload, leftovers) == (9, "p", ())
+        node = singleton(9, "p")
+        handle = node.handle
+        assert detach_root(node) == (None, None)
+        assert (node.key, node.payload) == (9, "p")
+        assert not handle.alive
 
     def test_seven_nodes(self, rng):
         keys = rng.sample(range(100), 7)
         t = build_perfect_heap(keys, rng)
-        key, _, leftovers = split_root(t)
-        assert key == min(keys)
+        leftovers = [PerfectTree(l, 1) for l in detach_root(t.root)]
+        assert t.root.key == min(keys)
         assert [l.size for l in leftovers] == [3, 3]
         out = sorted(k for l in leftovers for k in tree_keys(l))
         assert out == sorted(k for k in keys if k != min(keys))
@@ -174,23 +188,23 @@ class TestSplitRoot:
 
     def test_no_comparisons(self, rng):
         t = build_perfect_heap(rng.sample(range(100), 15), rng)
-        split_root(t)  # would blow up if it needed a comparator at all
+        detach_root(t.root)  # takes no comparator: it never compares keys
 
 
 class TestSiftUp:
 
     def test_root_is_noop(self):
-        t = make_singleton(5)
+        root = singleton(5)
         less = cmp()
-        sift_up(t.root, less)
+        sift_up(root, less)
         assert less.count == 0
-        assert t.root.key == 5
+        assert root.key == 5
 
     def test_one_forced_swap(self):
         # Hand-built pre-sift state: root 5 above children 2 and 7.
-        five = make_singleton(5).root
-        two = make_singleton(2).root
-        seven = make_singleton(7).root
+        five = singleton(5)
+        two = singleton(2)
+        seven = singleton(7)
         five.left, five.right = two, seven
         two.parent = seven.parent = five
         h2 = two.handle
@@ -226,7 +240,7 @@ class TestValidate:
     def test_rearrange_outputs_pass(self, rng):
         trees = [build_perfect_heap(rng.sample(range(100), 7), rng)
                  for _ in range(3)]
-        big, leftovers = rearrange(*trees, cmp())
+        big, leftovers = carried(rearrange_roots(*roots(trees), cmp()), 2)
         for t in (big, *leftovers):
             assert validate_tree(t) == []
 
@@ -363,50 +377,51 @@ def test_every_diagnostic_is_reported(plant, depth, rng):
 
 
 def test_randomized_storm_conserves_everything(rng):
-    """10_000 rearrange/split applications keep every invariant intact."""
-    by_height = {0: [make_singleton(rng.randrange(1000)) for _ in range(60)]}
-    alive = {t.root.handle: t.root.key for t in by_height[0]}
+    """10_000 rearrange_roots/detach_root applications on (root, height)
+    pairs keep every invariant intact."""
+    by_height = {0: [singleton(rng.randrange(1000)) for _ in range(60)]}
+    alive = {root.handle: root.key for root in by_height[0]}
     removed = []
     all_keys = sorted(alive.values())
     applications = 0
     while applications < 10_000:
-        heights = [h for h, ts in by_height.items() if len(ts) >= 3]
+        heights = [h for h, rs in by_height.items() if len(rs) >= 3]
         if heights and rng.random() < 0.7:
             h = rng.choice(heights)
-            ts = by_height[h]
-            picks = [ts.pop(rng.randrange(len(ts))) for _ in range(3)]
-            big, leftovers = rearrange(*picks, cmp())
+            rs = by_height[h]
+            picks = [rs.pop(rng.randrange(len(rs))) for _ in range(3)]
+            big, leftovers = carried(rearrange_roots(*picks, cmp()), h)
             assert validate_tree(big) == []
-            by_height.setdefault(big.height, []).append(big)
+            by_height.setdefault(h + 1, []).append(big.root)
             for l in leftovers:
                 assert validate_tree(l) == []
-                by_height.setdefault(l.height, []).append(l)
+                by_height[h - 1].append(l.root)
         else:
-            candidates = [(h, i) for h, ts in by_height.items()
-                          for i in range(len(ts))]
+            candidates = [(h, i) for h, rs in by_height.items()
+                          for i in range(len(rs))]
             if not candidates:
                 break
             h, i = candidates[rng.randrange(len(candidates))]
-            t = by_height[h].pop(i)
-            handle = t.root.handle
-            key, _, leftovers = split_root(t)
+            root = by_height[h].pop(i)
+            handle = root.handle
+            left, right = detach_root(root)
             assert not handle.alive
             del alive[handle]
-            removed.append(key)
-            for l in leftovers:
-                by_height.setdefault(l.height, []).append(l)
+            removed.append(root.key)
+            if left is not None:
+                by_height[h - 1] += [left, right]
         applications += 1
-        if sum(len(ts) for ts in by_height.values()) < 3:
-            fresh = [make_singleton(rng.randrange(1000)) for _ in range(60)]
-            by_height.setdefault(0, []).extend(fresh)
-            for t in fresh:
-                alive[t.root.handle] = t.root.key
-                all_keys.append(t.root.key)
+        if sum(len(rs) for rs in by_height.values()) < 3:
+            fresh = [singleton(rng.randrange(1000)) for _ in range(60)]
+            by_height[0].extend(fresh)
+            for root in fresh:
+                alive[root.handle] = root.key
+                all_keys.append(root.key)
             all_keys.sort()
     for handle, key in alive.items():
         assert handle.alive and handle.node.key == key
-    in_trees = [n.key for ts in by_height.values() for t in ts
-                for n in t.nodes()]
+    in_trees = [n.key for h, rs in by_height.items() for root in rs
+                for n in PerfectTree(root, h).nodes()]
     assert sorted(in_trees + removed) == all_keys
 
 
@@ -419,7 +434,7 @@ def test_rearrange_properties(h, seed, base):
              for i in range(3)]
     in_keys = sorted(k for t in trees for k in tree_keys(t))
     less = cmp()
-    big, leftovers = rearrange(*trees, less)
+    big, leftovers = carried(rearrange_roots(*roots(trees), less), h)
     assert less.count == 2
     assert big.height == h + 1
     if h == 0:

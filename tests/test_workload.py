@@ -1,12 +1,20 @@
 """Script parsing, generation, and the replay runner's meld-split."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from triheap.errors import EmptyQueueError
 from triheap.forest import FixPolicy
 from triheap.oracle import run_differential
 from triheap.workload import (DEFAULT_WEIGHTS, QueueRunner, ScriptParseError,
-                              format_script, generate_script, parse_script)
+                              WorkloadScript, format_script, generate_script,
+                              parse_script)
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestParse:
@@ -30,9 +38,10 @@ class TestParse:
                               ("meld-split", 0.25), ("dm",)]
 
     def test_round_trip(self):
-        script = generate_script(4, 300)
-        assert parse_script(format_script(script)).ops == script.ops
-        assert parse_script(format_script(script)).seed == 4
+        for script in (generate_script(4, 300),
+                       WorkloadScript([("i", 0), ("meld-split", 1 / 3)], 4)):
+            assert parse_script(format_script(script)).ops == script.ops
+            assert parse_script(format_script(script)).seed == 4
 
     def test_unknown_op_rejected(self):
         with pytest.raises(ScriptParseError):
@@ -71,6 +80,17 @@ class TestGenerate:
 
     def test_requested_length(self):
         assert len(generate_script(0, 123)) == 123
+
+    def test_make_workload_script(self):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "make_workload.py"),
+             "--seed", "7", "--ops", "50"],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        script = parse_script(proc.stdout)
+        assert len(script.ops) == 50
+        assert script.seed == 7
 
 
 class TestMeldSplit:
