@@ -10,6 +10,10 @@ Internally a bucket holds bare root nodes; the height lives once in the
 list index instead of once per tree, which keeps the carry path free of
 wrapper churn.  PerfectTree views are materialized where callers want whole
 trees (iteration, validation).
+
+The forest also keeps the minimum root that the last scan found, in the
+style of a Fibonacci heap's min pointer, and moves it along with the roots
+for as long as that takes a few comparisons at most; see Forest.
 """
 
 from __future__ import annotations
@@ -18,7 +22,8 @@ import operator
 from dataclasses import dataclass
 
 from .errors import ContractViolation, EmptyQueueError
-from .tree import PerfectTree, rearrange_roots, validate_tree
+from .tree import (CountingComparator, PerfectTree, rearrange_roots,
+                   validate_tree)
 
 EAGER = "eager"
 RELAXED = "relaxed"
@@ -56,14 +61,33 @@ class Forest:
     never empty.  Lists keep insertion order, and all scheduling below is
     deterministic, so identical operation sequences produce identical
     forests.
+
+    cached_min is None or the (height, index, root) that scan_min would
+    return right now, ties included (lowest height, then earliest bucket
+    position).  Nothing here creates it; the methods that move roots keep
+    it exact where that is cheap and drop it otherwise:
+
+    - remove_root, split and a meld with an empty side move it with no
+      comparison; split leaves it on the side that receives its root.
+    - fix shifts its index by 3 when a carry at its height takes the three
+      roots ahead of it.  When a carry takes the cached root itself, that
+      root becomes the carry's top (the roots ahead of it in its bucket
+      are strictly larger) and stays cached after one strict comparison
+      with each root that could now tie it: the rest of its old bucket,
+      its two released children and the roots ahead of it one height up.
+    - offer_min settles it against one root that may beat it at one
+      comparison; meld does so for two cached forests.
+    - add_root leaves it as it is: a caller that files a root which could
+      beat it settles that first, with offer_min.
     """
 
-    __slots__ = ("roots", "size", "policy")
+    __slots__ = ("roots", "size", "policy", "cached_min")
 
     def __init__(self, policy=None):
         self.roots = []
         self.size = 0
         self.policy = policy if policy is not None else FixPolicy()
+        self.cached_min = None
 
     @property
     def buckets(self):
@@ -71,7 +95,8 @@ class Forest:
         return {h: bucket for h, bucket in enumerate(self.roots) if bucket}
 
     def add_root(self, root, height):
-        """File a root node under its height.  Never triggers fixing."""
+        """File a root node under its height.  Never triggers fixing, and
+        leaves cached_min as it is."""
         roots = self.roots
         while len(roots) <= height:
             roots.append([])
@@ -79,31 +104,58 @@ class Forest:
         self.size += (1 << (height + 1)) - 1
 
     def remove_root(self, height, index):
-        """Take the root at (height, bucket position) out of the forest."""
+        """Take the root at (height, bucket position) out of the forest.
+
+        cached_min is dropped if it was this root, shifts down one place if
+        it sat later in the same bucket, and stays otherwise.
+        """
         roots = self.roots
         root = roots[height].pop(index)
         while roots and not roots[-1]:
             roots.pop()
         self.size -= (1 << (height + 1)) - 1
+        cached = self.cached_min
+        if cached is not None and cached[0] == height and cached[1] >= index:
+            self.cached_min = (None if cached[1] == index
+                               else (height, cached[1] - 1, cached[2]))
         return root
 
-    def split(self, count):
-        """Keep the first count trees and move the rest into a new forest.
+    def offer_min(self, height, index, root, less):
+        """Settle cached_min against root, filed (or about to be filed) at
+        (height, index), whose key may beat it; the cache must be set.
+
+        One comparison under scan_min's tie rule, charged on less once it
+        returns, as scan_min charges its own.  The cache is empty while
+        the comparison runs, so one that raises leaves it empty.
+        """
+        cached = self.cached_min
+        ch, ci, best = cached
+        self.cached_min = None
+        if (height, index) < (ch, ci):
+            wins = not less.raw_less(best.key, root.key)
+        else:
+            wins = less.raw_less(root.key, best.key)
+        less.count += 1
+        self.cached_min = (height, index, root) if wins else cached
+
+    def split(self, count, into):
+        """Keep the first count trees and move the rest into into, an
+        empty forest; returns the moved phi.
 
         Trees count in height order, then bucket order.  Only the boundary
-        bucket is sliced; every bucket above it moves to the new forest as
-        it is, and the moved size and phi are summed in one pass over the
-        moved heights.  Returns (new forest, moved phi).  Cost: a few list
-        operations per height, no comparison; never fixes.
+        bucket is sliced; every bucket above it moves as it is, and the
+        moved size and phi are summed in one pass over the moved heights.
+        cached_min goes with its root, its index shifted if the boundary
+        bucket was sliced in front of it.  Cost: a few list operations per
+        height, no comparison; never fixes.
         """
         roots = self.roots
-        moved = Forest(self.policy)
         for h, bucket in enumerate(roots):
             if count < len(bucket):
                 break
             count -= len(bucket)
         else:
-            return moved, 0
+            return 0
         tail = [[] for _ in range(h)]
         tail.append(bucket[count:])
         tail += roots[h + 1:]
@@ -116,28 +168,50 @@ class Forest:
             n = len(tail[g])
             size += n * ((1 << (g + 1)) - 1)
             phi += n * g
-        moved.roots = tail
-        moved.size = size
+        into.roots = tail
+        into.size = size
         self.size -= size
-        return moved, phi
+        cached = self.cached_min
+        if cached is not None and (cached[0], cached[1]) >= (h, count):
+            self.cached_min = None
+            into.cached_min = (cached if cached[0] > h
+                               else (h, cached[1] - count, cached[2]))
+        return phi
 
-    def meld(self, other):
+    def meld(self, other, less):
         """Move all of other's trees into this forest, leaving other empty.
 
         Other's list at each height goes onto the end of this forest's list
         at that height; its lists above this forest's top are adopted as
         they are, so the trees land exactly where filing each of them with
-        add_root would put them.  Cost: one list operation per height, no
-        comparison; never fixes.
+        add_root would put them.  Cost: one list operation per height, and
+        at most the one comparison below; never fixes.
+
+        cached_min is kept, with no comparison, when either side is empty,
+        and at one comparison (offer_min, made before any tree moves, so
+        one that raises moves none) when both sides are cached; otherwise
+        it is dropped.  Other is left without one.
         """
         roots = self.roots
         theirs = other.roots
+        cached = other.cached_min
+        if not self.size:
+            self.cached_min = cached
+        elif other.size:
+            if cached is not None and self.cached_min is not None:
+                h, index, root = cached
+                if h < len(roots):
+                    index += len(roots[h])
+                self.offer_min(h, index, root, less)
+            else:
+                self.cached_min = None
         for bucket, more in zip(roots, theirs):
             bucket += more
         roots += theirs[len(roots):]
         self.size += other.size
         other.roots = []
         other.size = 0
+        other.cached_min = None
 
     def find_root(self, root):
         """Locate the tree rooted at this node; returns (height, index)."""
@@ -208,14 +282,20 @@ class Forest:
         carry count and their net height-sum change (-1 per carry at height
         h >= 1, +1 per carry of three singletons), and gets one (h, delta)
         event per carry when it keeps events.
+
+        cached_min costs one integer comparison per carry, against the
+        cached height; a carry at that height is handed to _carry_min once
+        its trees are filed.
         """
         roots = self.roots
         raw = less.raw_less
         events = ledger.events if ledger is not None else None
         budget = self.policy.relaxed_budget if self.policy.mode == RELAXED else 0
+        cached = self.cached_min
+        cached_h = -1 if cached is None else cached[0]
         threshold = 3
         done = 0
-        delta = 0
+        singletons = 0
         h = 0
         try:
             while h < len(roots):
@@ -230,30 +310,71 @@ class Forest:
                     roots[h + 1].append(top)
                 else:
                     roots.append([top])
+                done += 1
                 if left is None:
-                    delta += 1
+                    singletons += 1
                     if events is not None:
                         events.append((0, 1))
+                    if cached_h == 0:
+                        cached_h = self._carry_min(0, top, [], less)
                 else:
                     below = roots[h - 1]
                     below.append(left)
                     below.append(right)
-                    delta -= 1
                     if events is not None:
                         events.append((h, -1))
+                    if cached_h == h:
+                        cached_h = self._carry_min(h, top, [left, right],
+                                                   less)
                     h -= 1
-                done += 1
                 if done == budget:
                     threshold = 5
                     h = 0
         finally:
             less.count += 2 * done
             if done and ledger is not None:
-                ledger.record_rearrangement(done, delta)
+                # +1 per carry of three singletons, -1 per other carry.
+                ledger.record_rearrangement(done, 2 * singletons - done)
         return done
 
+    def _carry_min(self, h, top, released, less):
+        """Keep cached_min exact after a carry at its height h, with top and
+        the released children already filed; returns its new height, or -1
+        once it is dropped.
+
+        If the carry took the three roots ahead of it, its index moves down
+        by 3 and nothing else changes: those roots were strictly larger, so
+        top and the children they shed are too.  Otherwise the cached root
+        was one of the three, and it is top, since the roots ahead of it
+        were strictly larger.  It now sits last at h + 1, and the roots
+        that could tie it there are the rest of its old bucket and its
+        released children (both now below it) and the roots ahead of it at
+        h + 1; it stays only if it is strictly less than each.  The checks
+        are charged on less once they return, the first one that fails
+        included; that one, or one that raises, leaves the cache empty.
+        """
+        _, index, best = self.cached_min
+        if index >= 3:
+            self.cached_min = (h, index - 3, best)
+            return h
+        self.cached_min = None
+        if top is not best:  # only under an inconsistent comparator
+            return -1
+        raw = less.raw_less
+        key = best.key
+        ahead = self.roots[h + 1]
+        rivals = self.roots[h] + released + ahead[:-1]
+        for checked, rival in enumerate(rivals, 1):
+            if not raw(key, rival.key):
+                less.count += checked
+                return -1
+        less.count += len(rivals)
+        self.cached_min = (h + 1, len(ahead) - 1, best)
+        return h + 1
+
     def validate(self, less=operator.lt, full=True):
-        """Diagnostics for buckets, doubly filed roots and, if full, trees."""
+        """Diagnostics for buckets, doubly filed roots, cached_min (against
+        a fresh scan on a counter of its own) and, if full, trees."""
         problems = []
         if self.roots and not self.roots[-1]:
             problems.append(
@@ -272,6 +393,13 @@ class Forest:
                 filed.add(root)
         if total != self.size:
             problems.append(f"size {self.size}, but trees hold {total} elements")
+        cached = self.cached_min
+        if cached is not None and (
+                not (total and self.size)
+                or cached != self.scan_min(CountingComparator(less))):
+            h, index, root = cached
+            problems.append(f"cached minimum {root.key!r} at ({h}, {index}) "
+                            f"is not scan_min's choice")
         if full:
             for tree in self.trees():
                 problems.extend(validate_tree(tree, less))

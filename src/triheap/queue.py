@@ -22,26 +22,34 @@ class Queue:
     """Min-priority queue with insert, find/delete-min, decrease-key, delete,
     meld and split, all addressed through stable element handles.
 
-    _min caches the minimum root in the style of a Fibonacci heap's min
-    pointer: it is None or the (height, index, root) that Forest.scan_min
-    would return right now, ties included (lowest height, then earliest
-    bucket position).  find_min stores the result of its scan there, and
-    delete_min reuses it instead of scanning.  Upkeep per op:
+    find_min scans the roots only when the forest holds no cached minimum
+    (Forest.cached_min, the root Forest.scan_min would pick, ties included)
+    and caches what it found; delete_min removes the cached root when there
+    is one, with no scan.  Upkeep per op, carries included (each carry at
+    the cached height costs a few comparisons at most, see Forest):
 
-    - insert: 1 comparison to keep a cache it found, when fix did no carry;
-      otherwise the cache is dropped.  An insert never creates a cache, so
-      a run of inserts pays nothing for it.
+    - insert: 1 comparison, made before the new root is filed.  An insert
+      never creates a cache, so a run of inserts pays nothing for it.
     - decrease_key: 0 comparisons when the element is in the cached root's
       tree or its sift stopped below a root, else 1.
-    - delete_min, delete, split, meld: the cache is dropped (meld drops
-      both queues' caches).
+    - delete: 0 comparisons, or 1 when the removed tree sat at the cached
+      height after the cached root; dropped when the element is in the
+      cached root's tree.
+    - split: none; the half that receives the cached root keeps it.
+    - meld: none when a side is empty, 1 comparison when both are cached;
+      dropped otherwise.
+    - delete_min: dropped.  A tie with the cached root drops it too.
+
+    Every op that opens a ledger record closes it, also when the comparator
+    raises, with the carries (counted on the ledger since the record
+    opened) and comparisons made by then.
 
     A queue is single-owner: it may be handed between threads as a whole but
     must never be accessed concurrently.  Independent queues are fully
     isolated and safe to use from parallel threads.
     """
 
-    __slots__ = ("policy", "comparator", "forest", "ledger", "alive", "_min")
+    __slots__ = ("policy", "comparator", "forest", "ledger", "alive")
 
     def __init__(self, policy=None, less=operator.lt, keep_records=False,
                  keep_events=False):
@@ -50,7 +58,6 @@ class Queue:
         self.forest = Forest(self.policy)
         self.ledger = PotentialLedger(keep_records, keep_events)
         self.alive = True
-        self._min = None
 
     def __len__(self):
         return self.forest.size
@@ -80,61 +87,63 @@ class Queue:
     def _run_fix(self):
         return self.forest.fix(self.comparator, self.ledger)
 
-    def _keep_min(self, cached, h, index, root):
-        """Re-set the cache after root at (h, index) got a key that may beat
-        the cached minimum, which is the only root that could have held it.
-
-        One comparison, charged once it returns, as scan_min charges its
-        own; scan_min's tie rule decides which side may win on equal keys.
-        The cache stays empty if the comparison raises.
-        """
-        self._min = None
-        ch, ci, best = cached
-        if (h, index) < (ch, ci):
-            wins = not self.comparator.raw_less(best.key, root.key)
-        else:
-            wins = self.comparator.raw_less(root.key, best.key)
-        self.comparator.count += 1
-        self._min = (h, index, root) if wins else cached
-
     def _remove_root(self, op, h, index, c0):
         """The one root-removal path, shared by delete_min and delete.
 
         The height-h root's two subtrees rejoin the forest as they are, so
         phi changes by h - 2 (by 0 for a singleton); then carries run.
         """
-        self._min = None
-        left, right = detach_root(self.forest.remove_root(h, index))
+        forest = self.forest
+        ledger = self.ledger
+        left, right = detach_root(forest.remove_root(h, index))
         if left is not None:
-            self.forest.add_root(left, h - 1)
-            self.forest.add_root(right, h - 1)
+            forest.add_root(left, h - 1)
+            forest.add_root(right, h - 1)
             delta = h - 2
         else:
             delta = 0
-        self.ledger.record_structural(op, delta)
-        fixes = self._run_fix()
-        self.ledger.finish_op(fixes, self.comparator.count - c0)
+        ledger.record_structural(op, delta)
+        r0 = ledger.rearrangements
+        try:
+            self._run_fix()
+        finally:
+            ledger.finish_op(ledger.rearrangements - r0,
+                             self.comparator.count - c0)
 
     def insert(self, key, payload=None):
         """Add an element as a fresh height-0 tree; returns its handle.
 
         The singleton contributes nothing to phi; any carries it triggers are
-        accounted separately by the fix machinery.  A cached minimum is kept
-        at one comparison when no carry ran (the new root sits last in
-        bucket 0), and dropped otherwise.
+        accounted separately by the fix machinery.  A cached minimum is
+        settled against the new key before the root is filed, at one
+        comparison; if that comparison raises, nothing is added.
         """
         self._require_alive()
+        forest = self.forest
+        ledger = self.ledger
         c0 = self.comparator.count
-        cached = self._min
-        self._min = None
         node = Node(key, payload)
+        cached = forest.cached_min
+        if cached is not None:
+            # Forest.offer_min for a root filed last in bucket 0: it beats
+            # a cached root at height 0 by being less, one above by a tie.
+            forest.cached_min = None
+            less = self.comparator
+            best = cached[2].key
+            if (not less.raw_less(best, key) if cached[0]
+                    else less.raw_less(key, best)):
+                cached = (0, len(forest.roots[0]), node)
+            less.count += 1
+            forest.cached_min = cached
         handle = Handle(node)
-        self.forest.add_root(node, 0)
-        self.ledger.record_structural("insert", 0)
-        fixes = self._run_fix()
-        if cached is not None and not fixes:
-            self._keep_min(cached, 0, len(self.forest.roots[0]) - 1, node)
-        self.ledger.finish_op(fixes, self.comparator.count - c0)
+        forest.add_root(node, 0)
+        ledger.record_structural("insert", 0)
+        r0 = ledger.rearrangements
+        try:
+            self._run_fix()
+        finally:
+            ledger.finish_op(ledger.rearrangements - r0,
+                             self.comparator.count - c0)
         return handle
 
     def find_min(self):
@@ -144,10 +153,11 @@ class Queue:
         cached, and caches what it found; otherwise 0 comparisons.
         """
         self._require_alive()
+        forest = self.forest
         c0 = self.comparator.count
-        if self._min is None:
-            self._min = self.forest.scan_min(self.comparator)
-        root = self._min[2]
+        if forest.cached_min is None:
+            forest.cached_min = forest.scan_min(self.comparator)
+        root = forest.cached_min[2]
         self.ledger.record_structural("find_min", 0)
         self.ledger.finish_op(0, self.comparator.count - c0)
         return root.key, root.payload
@@ -157,11 +167,13 @@ class Queue:
 
         The minimal root is the cached one when a minimum is cached (0 scan
         comparisons), else found by scanning all roots; it is removed by
-        _remove_root, the path delete shares, which drops the cache.
+        _remove_root, the path delete shares, which drops the cache.  A scan
+        that raises has moved nothing and opened no record.
         """
         self._require_alive()
+        forest = self.forest
         c0 = self.comparator.count
-        h, index, root = self._min or self.forest.scan_min(self.comparator)
+        h, index, root = forest.cached_min or forest.scan_min(self.comparator)
         self._remove_root("delete_min", h, index, c0)
         return root.key, root.payload
 
@@ -172,25 +184,32 @@ class Queue:
         and the handle keeps tracking its element.  The handle's tree must
         belong to this queue; that is checked before any comparison.  The
         op's record is closed on every path, a rejected key increase or a
-        raising comparator included, with the comparisons made by then.
-        A cached minimum is kept at no cost when the element is in the
-        cached root's tree or its sift stopped below the root, else at one
-        comparison.
+        raising comparator included, with the comparisons made by then.  A
+        comparator that raises inside the sift leaves the element where it
+        was, with its old key.  A cached minimum is kept at no cost when
+        the element is in the cached root's tree or its sift stopped below
+        the root, else at one comparison.
         """
         self._require_alive()
         node = self._live_node(handle)
         h, index, root = self._tree_of(node)
+        forest = self.forest
         c0 = self.comparator.count
         self.ledger.record_structural("decrease_key", 0)
         try:
-            if self.comparator(node.key, new_key):
+            old_key = node.key
+            if self.comparator(old_key, new_key):
                 raise ContractViolation(
-                    f"decrease_key to {new_key!r} would raise {node.key!r}")
+                    f"decrease_key to {new_key!r} would raise {old_key!r}")
             node.key = new_key
-            top = sift_up(node, self.comparator)
-            cached = self._min
+            try:
+                top = sift_up(node, self.comparator)
+            except BaseException:
+                node.key = old_key
+                raise
+            cached = forest.cached_min
             if cached is not None and top is root and root is not cached[2]:
-                self._keep_min(cached, h, index, root)
+                forest.offer_min(h, index, root, self.comparator)
         finally:
             self.ledger.finish_op(0, self.comparator.count - c0)
 
@@ -201,11 +220,26 @@ class Queue:
         anything moves.  Its content is then hoisted to the tree's root
         without any comparison (treated as below every key), and the root
         is removed by the same path as in delete_min.
+
+        A cached minimum in another tree stays, at no cost, unless the
+        removed tree sat at the cached height after it: then the tree's
+        other elements drop one height below the cached root, where a tie
+        would beat it, and one comparison with the old root key, the least
+        of them, decides.  That comparison comes before anything moves, so
+        one that raises leaves the queue as it was, without a cache.
         """
         self._require_alive()
         node = self._live_node(handle)
+        forest = self.forest
         c0 = self.comparator.count
-        h, index, _ = self._tree_of(node)
+        h, index, root = self._tree_of(node)
+        cached = forest.cached_min
+        if (cached is not None and h and cached[0] == h
+                and index > cached[1]):
+            forest.cached_min = None
+            if self.comparator.raw_less(cached[2].key, root.key):
+                forest.cached_min = cached
+            self.comparator.count += 1
         sift_to_root(node)
         self._remove_root("delete", h, index, c0)
 
@@ -217,17 +251,17 @@ class Queue:
         new queue of self's type, policy and key order.  Handles follow
         their elements.  Each ledger records one "split" op for moved phi.
         Cost: Forest.split's few list operations per height (only the
-        boundary bucket is sliced), no comparison and no carry.
+        boundary bucket is sliced), no comparison and no carry.  A cached
+        minimum stays with the half that holds its root.
         """
         self._require_alive()
         if not 0 <= fraction <= 1:
             raise ContractViolation(f"fraction {fraction!r} not in [0, 1]")
-        self._min = None
         other = type(self)(policy=self.policy, less=self.comparator.raw_less,
                            keep_records=self.ledger.records is not None,
                            keep_events=self.ledger.events is not None)
-        other.forest, phi = self.forest.split(
-            int(fraction * self.forest.tree_count()))
+        phi = self.forest.split(int(fraction * self.forest.tree_count()),
+                                other.forest)
         self.ledger.record_structural("split", -phi)
         self.ledger.finish_op(0, 0)
         other.ledger.record_structural("split", phi)
@@ -241,8 +275,11 @@ class Queue:
         the result.  Buckets concatenate height-wise with self's trees first,
         no tree changes height before fixing, and every handle from either
         input stays valid against the result.  Cost before fixing:
-        Forest.meld's one list operation per height, no comparison; then
-        the carries run.  Other's ledger hands its phi over with its trees.
+        Forest.meld's one list operation per height, plus one comparison
+        when both queues hold a cached minimum; then the carries run.  A
+        comparator that raises in that comparison has moved no tree and
+        left self without a cache.  Other's ledger hands its phi over with
+        its trees.
         """
         self._require_alive()
         other._require_alive()
@@ -253,15 +290,19 @@ class Queue:
                 f"meld across fix policies {self.policy} / {other.policy}")
         if other.comparator.raw_less is not self.comparator.raw_less:
             raise ContractViolation("meld across different comparators")
-        self._min = other._min = None
+        ledger = self.ledger
         c0 = self.comparator.count + other.comparator.count
-        self.forest.meld(other.forest)
+        self.forest.meld(other.forest, self.comparator)
         self.comparator.count += other.comparator.count
-        self.ledger.absorb(other.ledger)
+        ledger.absorb(other.ledger)
         other.alive = False
-        self.ledger.record_structural("meld", 0)
-        fixes = self._run_fix()
-        self.ledger.finish_op(fixes, self.comparator.count - c0)
+        ledger.record_structural("meld", 0)
+        r0 = ledger.rearrangements
+        try:
+            self._run_fix()
+        finally:
+            ledger.finish_op(ledger.rearrangements - r0,
+                             self.comparator.count - c0)
         return self
 
     def validate(self, full=True):
@@ -270,7 +311,8 @@ class Queue:
         full=True walks every tree (perfectness, heap order, handles);
         full=False checks only the cheap bucket/size/digit/ledger facts.
         Both check the cached minimum against a fresh scan on a separate
-        counter, and the comparator's count against the ledger's.
+        counter (in Forest.validate), and the comparator's count against
+        the ledger's.
         """
         problems = self.forest.validate(self.comparator.raw_less, full=full)
         problems.extend(self.ledger.audit(self.forest))
@@ -278,10 +320,4 @@ class Queue:
             problems.append(
                 f"comparator counted {self.comparator.count} comparisons, "
                 f"ledger {self.ledger.comparisons}")
-        if self._min is not None and (
-                not self.forest.size or self._min != self.forest.scan_min(
-                    CountingComparator(self.comparator.raw_less))):
-            h, index, root = self._min
-            problems.append(f"cached minimum {root.key!r} at ({h}, {index}) "
-                            f"is not scan_min's choice")
         return problems

@@ -182,13 +182,25 @@ def sift_up(node, less):
 
     Contents (never links) are swapped, so the tree shape stays trivially
     perfect and the handles follow their elements.  At most h comparisons;
-    stops at the first ancestor that is not larger.
+    stops at the first ancestor that is not larger.  If less raises, the
+    swaps made so far are undone, top down, before the error propagates,
+    so every element is back where it started.
     """
+    start = node
     parent = node.parent
-    while parent is not None and less(node.key, parent.key):
-        _swap_contents(node, parent)
-        node = parent
-        parent = node.parent
+    try:
+        while parent is not None and less(node.key, parent.key):
+            _swap_contents(node, parent)
+            node = parent
+            parent = node.parent
+    except BaseException:
+        while node is not start:
+            below = start
+            while below.parent is not node:
+                below = below.parent
+            _swap_contents(below, node)
+            node = below
+        raise
     return node
 
 

@@ -96,16 +96,19 @@ class TestInsert:
 
     def test_raising_comparator_loses_no_element(self):
         """The third insert's carry compares 1, 2 and "x", which raises
-        before any root leaves its bucket.  The digit left at 3 and the
-        insert's ledger record that finish_op never closed are open item 4
-        of ROADMAP.md."""
-        q = Queue()
+        before any root leaves its bucket.  The insert's record is closed
+        with the phi and comparisons of the moment; the digit left at 3 is
+        open item 4 of ROADMAP.md."""
+        q = Queue(keep_records=True)
         q.insert(1)
         q.insert(2)
         with pytest.raises(TypeError):
             q.insert("x")
         assert len(q) == 3
         assert [k for t in q.forest.trees() for k in t.keys()] == [1, 2, "x"]
+        rec = q.ledger.records[-1]
+        assert (rec.op, rec.fixes, rec.phi_after) == ("insert", 0, q.ledger.phi)
+        assert q.comparator.count == q.ledger.comparisons
         assert q.validate() == ["digit 3 at height 0 exceeds bound 2"]
 
     def test_payload_round_trip(self):
@@ -462,8 +465,9 @@ class TestBucketSplice:
         # back in place, by identity and order.
         before = filed(q.forest)
         size, phi = q.forest.size, q.ledger.phi
-        moved, moved_phi = q.forest.split(count)
-        q.forest.meld(moved)
+        moved = Forest(policy)
+        moved_phi = q.forest.split(count, moved)
+        q.forest.meld(moved, q.comparator)
         assert filed(q.forest) == before
         assert q.forest.size == size and moved.roots == [] and \
             moved.size == 0
@@ -504,7 +508,7 @@ class TestBucketSplice:
             for h, bucket in enumerate(forest.roots):
                 for root in bucket:
                     reference.add_root(root, h)
-        a.forest.meld(b.forest)
+        a.forest.meld(b.forest, a.comparator)
         assert filed(a.forest) == filed(reference)
         assert a.forest.size == reference.size
         assert (b.forest.roots, b.forest.size) == ([], 0)
@@ -636,6 +640,25 @@ class TestDecreaseKey:
         assert q.ledger.records[-1].op == "decrease_key"
         assert not [p for p in q.validate(full=False) if "counted" in p]
 
+    def test_raise_in_sift_rolls_back(self):
+        # picky raises on {-1, 1}: the sift of -1 meets the root 1 and
+        # raises; the element goes back where it was, with its old key.
+        def picky(a, b):
+            if {a, b} == {-1, 1}:
+                raise ValueError("planted")
+            return a < b
+
+        q = Queue(less=picky)
+        q.insert(1)
+        h = q.insert(5)
+        q.insert(7)
+        with pytest.raises(ValueError):
+            q.decrease_key(h, -1)
+        assert q.validate() == []
+        assert h.key == 5 and h.node.parent is q.forest.roots[1][0]
+        assert sorted(k for t in q.forest.trees() for k in t.keys()) == \
+            [1, 5, 7]
+
     def test_equal_key_allowed(self):
         q = Queue()
         h = q.insert(5)
@@ -758,7 +781,9 @@ class TestMinCache:
     @pytest.mark.parametrize("seed", range(4))
     def test_cache_is_scan_mins_choice_after_every_op(self, seed, policy):
         # Keys start in range(8) and decrease-keys lower them by up to 8,
-        # so ties are common and many sifts reach a root.
+        # so ties are common and many sifts reach a root.  Every upkeep
+        # path must run at least once; a carry keeps the cached root when
+        # the root stays cached at a greater height.
         rng = random.Random(seed)
         q = Queue(policy=policy)
         live = []
@@ -766,45 +791,66 @@ class TestMinCache:
         paths = Counter()
         for _ in range(3000):
             roll = rng.random()
-            before = q._min
+            before = q.forest.cached_min
             if not live or roll < 0.35:
                 live.append(q.insert(rng.randrange(8)))
-                if before is not None:
-                    paths["insert kept" if q._min else "insert dropped"] += 1
+                after = q.forest.cached_min
+                if before is not None and after is None:
+                    paths["carried root dropped on a tie"] += 1
+                elif (before is not None and after[2] is before[2]
+                        and after[0] > before[0]):
+                    paths["carried root kept"] += 1
             elif roll < 0.55:
                 assert q.find_min()[0] == min(h.key for h in live)
             elif roll < 0.65:
                 paths["delete_min cached"] += before is not None
                 least = min(h.key for h in live)
                 assert q.delete_min()[0] == least
+                assert q.forest.cached_min is None
                 live = [h for h in live if h.alive]
             elif roll < 0.8:
                 h = rng.choice(live)
                 q.decrease_key(h, h.key - rng.randrange(9))
                 if (before is not None and h.node.parent is None
                         and h.node is not before[2]):
-                    paths["dk won" if q._min[2] is h.node else "dk lost"] += 1
+                    won = q.forest.cached_min[2] is h.node
+                    paths["dk won" if won else "dk lost"] += 1
             elif roll < 0.85:
                 h = live.pop(rng.randrange(len(live)))
                 q.delete(h)
+                paths["delete kept"] += (before is not None and
+                                         q.forest.cached_min is not None)
             elif roll < 0.88:
                 q.find_min()
+                held = q.forest.cached_min
                 other = q.split(rng.random())
-                assert q._min is None and other._min is None
-                if len(other):
+                # The half that holds the cached root keeps it; the other
+                # half has none.
+                caches = [x.forest.cached_min for x in (q, other)]
+                assert [c[2] for c in caches if c is not None] == [held[2]]
+                paths["split holder kept"] += 1
+                for half in (q, other):
+                    assert half.validate(full=False) == []
+                if len(other) and rng.random() < 0.5:
                     other.find_min()
+                both = None not in (q.forest.cached_min,
+                                    other.forest.cached_min)
                 q.meld(other)
-                assert other._min is None
+                assert other.forest.cached_min is None
+                # The meld keeps the winner; only a tie in its carries
+                # can drop it.
+                paths["meld of two cached queues"] += (
+                    both and q.forest.cached_min is not None)
             elif roll < 0.9:
                 other, handles = self.filled(rng, policy, rng.randrange(1, 40))
                 q.meld(other)
-                assert other._min is None
+                assert other.forest.cached_min is None
                 live.extend(handles)
             elif roll < 0.95:
                 h = rng.choice(live)
                 with pytest.raises(ContractViolation):
                     q.decrease_key(h, h.key + 1)
-                assert q._min is before
+                assert q.forest.cached_min is before
             else:
                 h = rng.choice(foreign_handles)
                 with pytest.raises(ContractViolation):
@@ -812,35 +858,111 @@ class TestMinCache:
                         q.decrease_key(h, -100)
                     else:
                         q.delete(h)
-                assert q._min is before
-            assert q._min is None or q._min == fresh_scan(q)
+                assert q.forest.cached_min is before
+            cached = q.forest.cached_min
+            assert cached is None or cached == fresh_scan(q)
             assert q.validate(full=False) == []
         assert q.validate() == [] and foreign.validate() == []
         assert sorted(h.key for h in foreign_handles) == \
             sorted(k for t in foreign.forest.trees() for k in t.keys())
         assert min(paths[p] for p in (
-            "insert kept", "insert dropped", "delete_min cached", "dk won",
-            "dk lost")) > 0, paths
+            "carried root kept", "carried root dropped on a tie",
+            "delete_min cached", "dk won", "dk lost", "delete kept",
+            "split holder kept", "meld of two cached queues")) > 0, paths
+
+    def test_carried_singleton_next_to_an_equal_key_drops(self):
+        """Root 5 of a height-1 tree and a cached singleton 5 below it: the
+        third insert carries the singleton up beside the other 5, where it
+        would lose the tie, so the cache drops, and find_min then returns
+        the earlier 5, scan_min's choice."""
+        q = Queue(keep_records=True)
+        for k in (5, 6, 7):
+            q.insert(k)
+        tall = q.forest.roots[1][0]
+        single = q.insert(5).node
+        assert q.find_min() == (5, None)
+        assert q.forest.cached_min == (0, 0, single)
+        q.insert(8)
+        q.insert(9)  # carries 5, 8, 9; the 5 checks the earlier 5, ties
+        rec = q.ledger.records[-1]
+        assert (rec.fixes, rec.comparisons) == (1, 1 + 2 + 1)
+        assert q.forest.roots[1] == [tall, single]
+        assert q.forest.cached_min is None
+        assert q.find_min() == (5, None)
+        assert q.forest.cached_min == (1, 0, tall) == fresh_scan(q)
+        assert q.validate() == []
+
+    def test_upkeep_costs(self):
+        """Each path that keeps the cache pays what Queue's docstring says:
+        a carry of the cached root one check per rival, a delete behind it
+        at its height one, a delete elsewhere none, a meld of two cached
+        queues one and a split none."""
+        q = Queue(keep_records=True)
+
+        def cost():
+            return q.ledger.records[-1].comparisons
+
+        for k in (10, 20, 30):
+            q.insert(k)
+        three = q.insert(3).node
+        assert q.find_min() == (3, None) and cost() == 1
+        q.insert(70)
+        assert cost() == 1  # the offer
+        q.insert(80)  # offer, carry of 3, 70, 80, then 3 checks 10
+        assert cost() == 1 + 2 + 1
+        assert q.forest.cached_min == (1, 1, three) == fresh_scan(q)
+
+        q = Queue(keep_records=True)
+        h = {k: q.insert(k) for k in range(1, 7)}  # height-1 trees 1 and 4
+        assert q.find_min() == (1, None)
+        q.delete(h[5])  # tree 4 sits behind 1 at height 1: one check
+        assert cost() == 1
+        assert q.forest.digits() == [2, 1]
+        assert q.forest.cached_min == (1, 0, h[1].node) == fresh_scan(q)
+        q.delete(h[6])  # a singleton below: nothing to check
+        assert cost() == 0
+        assert q.forest.cached_min == (1, 0, h[1].node) == fresh_scan(q)
+        q.delete(h[2])  # in the cached root's tree: dropped
+        assert q.forest.cached_min is None
+        assert q.validate() == []
+
+        a, b = Queue(keep_records=True), Queue()
+        a.insert(2)
+        b.insert(1)
+        a.find_min()
+        b.find_min()
+        a.meld(b)
+        assert a.ledger.records[-1].comparisons == 1
+        assert a.forest.cached_min == (0, 1, a.forest.roots[0][1])
+        assert a.forest.cached_min == fresh_scan(a)
+        other = a.split(0.5)
+        assert a.ledger.records[-1].comparisons == 0
+        assert a.forest.cached_min is None
+        assert other.forest.cached_min == (0, 0, other.forest.roots[0][0])
+        assert other.find_min() == (1, None)
+        assert a.validate() == [] and other.validate() == []
 
     @pytest.mark.parametrize("inserts", [1, 3])
     def test_raise_in_insert_upkeep_leaves_no_cache(self, inserts):
         """The cached root sits at height 0 (one insert) or 1 (three), so
         both sides of the tie rule compare "x" with an int, which raises
-        after the insert's fix made no carry."""
-        q = Queue()
+        before the new root is filed: the insert adds nothing and opens
+        no record."""
+        q = Queue(keep_records=True)
         for k in range(1, inserts + 1):
             q.insert(k)
         q.find_min()
-        assert q._min is not None
+        assert q.forest.cached_min is not None
+        records = len(q.ledger.records)
         with pytest.raises(TypeError):
             q.insert("x")
-        assert q._min is None
-        assert len(q) == inserts + 1
+        assert q.forest.cached_min is None
+        assert len(q) == inserts
+        assert len(q.ledger.records) == records
         assert q.comparator.count == q.ledger.comparisons
         assert q.validate() == []
-        q.delete(q.forest.roots[0][-1].handle)
         assert q.find_min() == (1, None)
-        assert q._min == fresh_scan(q)
+        assert q.forest.cached_min == fresh_scan(q)
         assert q.validate() == []
 
     def test_decrease_key_upkeep_costs(self):
@@ -852,20 +974,20 @@ class TestMinCache:
         h10, h20, h30 = (q.insert(k) for k in (10, 20, 30))
         h5 = q.insert(5)
         assert q.find_min() == (5, None)
-        cached = q._min
+        cached = q.forest.cached_min
 
         def cost(handle, key):
             q.decrease_key(handle, key)
             return q.ledger.records[-1].comparisons
 
         assert cost(h30, 15) == 2  # check, sift stops below the root
-        assert q._min is cached
+        assert q.forest.cached_min is cached
         assert cost(h5, 4) == 1  # check; the cached root itself
-        assert q._min is cached
+        assert q.forest.cached_min is cached
         assert cost(h10, 8) == 2  # check, upkeep: 4 stays the minimum
-        assert q._min is cached
+        assert q.forest.cached_min is cached
         assert cost(h20, 3) == 3  # check, one sift step, upkeep: 3 wins
-        assert q._min == (1, 0, h20.node) == fresh_scan(q)
+        assert q.forest.cached_min == (1, 0, h20.node) == fresh_scan(q)
         assert q.validate() == []
 
     def test_raise_in_decrease_key_upkeep_leaves_no_cache(self):
@@ -880,7 +1002,7 @@ class TestMinCache:
         q.find_min()
         with pytest.raises(ValueError):
             q.decrease_key(h, -1)
-        assert q._min is None
+        assert q.forest.cached_min is None
         assert [t.root.key for t in q.forest.trees()] == [1, -1]
 
     def test_repeated_find_min_costs_nothing(self):
@@ -896,7 +1018,7 @@ class TestMinCache:
         assert q.delete_min()[0] == 1
         rec = q.ledger.records[-1]
         assert rec.comparisons == 2 * rec.fixes
-        assert q._min is None
+        assert q.forest.cached_min is None
         trees = q.forest.tree_count()
         assert q.delete_min()[0] == 2
         rec = q.ledger.records[-1]
@@ -908,7 +1030,7 @@ class TestMinCache:
             q.insert(k)
         q.find_min()
         assert q.validate() == []
-        q._min = (0, 1, q.forest.roots[0][1])
+        q.forest.cached_min = (0, 1, q.forest.roots[0][1])
         assert q.validate() == [
             "cached minimum 2 at (0, 1) is not scan_min's choice"]
 
@@ -919,6 +1041,52 @@ class TestMinCache:
         q.comparator.count += 1
         assert q.validate(full=False) == [
             "comparator counted 3 comparisons, ledger 2"]
+
+
+@pytest.mark.parametrize("op", ["insert", "delete_min", "delete", "meld"])
+def test_raising_carry_closes_the_op_record(op):
+    """Each op's carry meets -1 and 1, on which the comparator raises; the
+    op's record is still closed, with the phi and comparisons of the
+    moment, and no element is lost."""
+    def picky(a, b):
+        if {a, b} == {-1, 1}:
+            raise ValueError("planted")
+        return a < b
+
+    q = Queue(less=picky, keep_records=True)
+    if op == "insert":
+        q.insert(1)
+        q.insert(2)
+        keys = [1, 2, -1]
+    elif op == "meld":
+        q.insert(1)
+        q.insert(2)
+        other = Queue(less=picky, keep_records=True)
+        other.insert(-1)
+        keys = [1, 2, -1]
+    else:
+        # Root -2 over -1 and 7, and a singleton 1: removing -2 files -1
+        # and 7 beside 1, and their carry compares -1 with 1.
+        root = q.insert(-2)
+        q.insert(-1)
+        q.insert(7)
+        q.insert(1)
+        keys = [1, -1, 7]
+    with pytest.raises(ValueError):
+        if op == "insert":
+            q.insert(-1)
+        elif op == "meld":
+            q.meld(other)
+        elif op == "delete":
+            q.delete(root)
+        else:
+            q.delete_min()
+    rec = q.ledger.records[-1]
+    assert (rec.op, rec.fixes, rec.phi_after) == (op, 0, q.ledger.phi)
+    assert q.comparator.count == q.ledger.comparisons
+    assert sorted(k for t in q.forest.trees() for k in t.keys()) == \
+        sorted(keys)
+    assert q.validate() == ["digit 3 at height 0 exceeds bound 2"]
 
 
 def test_no_sift_down_exists_anywhere():

@@ -224,6 +224,32 @@ class TestSiftUp:
         assert handle.node is t.root
         assert validate_tree(t) == []
 
+    def test_raising_less_undoes_every_swap(self, rng):
+        """A leaf lowered below everything climbs two levels, then less
+        raises; every content swap is undone and the handles follow."""
+        t = build_perfect_heap(list(range(10, 25)), rng)
+        before = link_snapshot(t)
+        leaf = next(n for n in t.nodes() if n.left is None)
+        handles = [n.handle for n in t.nodes()]
+        key = leaf.key
+        leaf.key = -1
+        calls = 0
+
+        def less(a, b):
+            nonlocal calls
+            calls += 1
+            if calls == 3:
+                raise ValueError("planted")
+            return a < b
+
+        with pytest.raises(ValueError):
+            sift_up(leaf, less)
+        assert calls == 3
+        leaf.key = key
+        assert link_snapshot(t) == before
+        assert all(h.node.handle is h for h in handles)
+        assert validate_tree(t) == []
+
     def test_sift_to_root_uses_no_comparisons(self, rng):
         t = build_perfect_heap(rng.sample(range(100), 15), rng)
         leaf = next(n for n in t.nodes() if n.left is None)

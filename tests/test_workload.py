@@ -132,29 +132,29 @@ MELD_SPLIT_HEAVY = dict(DEFAULT_WEIGHTS, **{"meld-split": 25})
 # one of these.
 CARRY_SCHEDULE = {
     ("default", "eager", 0):
-        (119199, 24511, 61, [2, 2, 0, 1, 1, 2, 2, 2, 2], 21934),
+        (114678, 24511, 61, [2, 2, 0, 1, 1, 2, 2, 2, 2], 21934),
     ("default", "eager", 1):
-        (117630, 23485, 68, [2, 2, 2, 2, 1, 2, 2, 2, 2], 21886),
+        (113354, 23485, 68, [2, 2, 2, 2, 1, 2, 2, 2, 2], 21886),
     ("default", "eager", 2):
-        (118658, 24228, 44, [2, 2, 0, 1, 1, 1, 1, 1, 1, 1], 22092),
+        (114730, 24228, 44, [2, 2, 0, 1, 1, 1, 1, 1, 1, 1], 22092),
     ("default", "relaxed", 0):
-        (154541, 19867, 90, [2, 2, 1, 3, 4, 4, 2, 3, 1], 21934),
+        (137880, 19867, 90, [2, 2, 1, 3, 4, 4, 2, 3, 1], 21934),
     ("default", "relaxed", 1):
-        (149444, 19298, 88, [0, 4, 2, 2, 3, 3, 3, 3, 1], 21886),
+        (133716, 19298, 88, [0, 4, 2, 2, 3, 3, 3, 3, 1], 21886),
     ("default", "relaxed", 2):
-        (151954, 19515, 90, [1, 1, 4, 2, 2, 4, 3, 3, 1], 22092),
+        (136096, 19515, 90, [1, 1, 4, 2, 2, 4, 3, 3, 1], 22092),
     ("meld-split-heavy", "eager", 0):
-        (98238, 19524, 51, [2, 2, 2, 2, 0, 2, 1, 1, 2], 28448),
+        (96326, 19524, 51, [2, 2, 2, 2, 0, 2, 1, 1, 2], 28448),
     ("meld-split-heavy", "eager", 1):
-        (97959, 19480, 55, [0, 2, 2, 2, 1, 2, 1, 1, 2], 28294),
+        (96395, 19480, 55, [0, 2, 2, 2, 1, 2, 1, 1, 2], 28294),
     ("meld-split-heavy", "eager", 2):
-        (101109, 20353, 57, [1, 2, 2, 1, 2, 1, 2, 1, 2], 28324),
+        (99818, 20353, 57, [1, 2, 2, 1, 2, 1, 2, 1, 2], 28324),
     ("meld-split-heavy", "relaxed", 0):
-        (115667, 17003, 83, [4, 1, 1, 3, 4, 2, 4, 3], 28448),
+        (109147, 17003, 83, [4, 1, 1, 3, 4, 2, 4, 3], 28448),
     ("meld-split-heavy", "relaxed", 1):
-        (114346, 16820, 59, [1, 2, 2, 2, 1, 4, 0, 1, 2], 28294),
+        (108408, 16820, 59, [1, 2, 2, 2, 1, 4, 0, 1, 2], 28294),
     ("meld-split-heavy", "relaxed", 2):
-        (118527, 17525, 75, [1, 3, 0, 2, 4, 2, 3, 2, 1], 28324),
+        (112664, 17525, 75, [1, 3, 0, 2, 4, 2, 3, 2, 1], 28324),
 }
 
 
