@@ -12,8 +12,8 @@ wrapper churn.  PerfectTree views are materialized where callers want whole
 trees (iteration, validation).
 
 The forest also keeps the minimum root that the last scan found, in the
-style of a Fibonacci heap's min pointer, and moves it along with the roots
-for as long as that takes a few comparisons at most; see Forest.
+style of a Fibonacci heap's min pointer, for as long as a carry or a root
+removal leaves it scan_min's choice; see Forest.
 """
 
 from __future__ import annotations
@@ -62,23 +62,21 @@ class Forest:
     deterministic, so identical operation sequences produce identical
     forests.
 
-    cached_min is None or the (height, index, root) that scan_min would
-    return right now, ties included (lowest height, then earliest bucket
+    cached_min is None or the (height, root) that scan_min would return
+    right now, ties included (lowest height, then earliest bucket
     position).  Nothing here creates it; the methods that move roots keep
-    it exact where that is cheap and drop it otherwise:
+    it or drop it:
 
-    - remove_root, split and a meld with an empty side move it with no
-      comparison; split leaves it on the side that receives its root.
-    - fix shifts its index by 3 when a carry at its height takes the three
-      roots ahead of it.  When a carry takes the cached root itself, that
-      root becomes the carry's top (the roots ahead of it in its bucket
-      are strictly larger) and stays cached after one strict comparison
-      with each root that could now tie it: the rest of its old bucket,
-      its two released children and the roots ahead of it one height up.
-    - offer_min settles it against one root that may beat it at one
-      comparison; meld does so for two cached forests.
+    - remove_root drops it only when it takes the cached root.
+    - fix keeps it through carries that do not take the cached root.
+      When a carry takes the cached root itself, that root becomes the
+      carry's top (the roots ahead of it in its bucket are strictly
+      larger) and stays cached after one strict comparison with each root
+      that could now tie it: the rest of its old bucket, its two released
+      children and the roots ahead of it one height up.
+    - split and meld drop it on both sides.
     - add_root leaves it as it is: a caller that files a root which could
-      beat it settles that first, with offer_min.
+      beat it settles that first.
     """
 
     __slots__ = ("roots", "size", "policy", "cached_min")
@@ -103,40 +101,18 @@ class Forest:
         roots[height].append(root)
         self.size += (1 << (height + 1)) - 1
 
-    def remove_root(self, height, index):
-        """Take the root at (height, bucket position) out of the forest.
+    def remove_root(self, height, root):
+        """Take root, filed at height, out of the forest (by identity).
 
-        cached_min is dropped if it was this root, shifts down one place if
-        it sat later in the same bucket, and stays otherwise.
+        cached_min is dropped if it was this root and stays otherwise.
         """
         roots = self.roots
-        root = roots[height].pop(index)
+        roots[height].remove(root)
         while roots and not roots[-1]:
             roots.pop()
         self.size -= (1 << (height + 1)) - 1
-        cached = self.cached_min
-        if cached is not None and cached[0] == height and cached[1] >= index:
-            self.cached_min = (None if cached[1] == index
-                               else (height, cached[1] - 1, cached[2]))
-        return root
-
-    def offer_min(self, height, index, root, less):
-        """Settle cached_min against root, filed (or about to be filed) at
-        (height, index), whose key may beat it; the cache must be set.
-
-        One comparison under scan_min's tie rule, charged on less once it
-        returns, as scan_min charges its own.  The cache is empty while
-        the comparison runs, so one that raises leaves it empty.
-        """
-        cached = self.cached_min
-        ch, ci, best = cached
-        self.cached_min = None
-        if (height, index) < (ch, ci):
-            wins = not less.raw_less(best.key, root.key)
-        else:
-            wins = less.raw_less(root.key, best.key)
-        less.count += 1
-        self.cached_min = (height, index, root) if wins else cached
+        if self.cached_min is not None and self.cached_min[1] is root:
+            self.cached_min = None
 
     def split(self, count, into):
         """Keep the first count trees and move the rest into into, an
@@ -145,10 +121,10 @@ class Forest:
         Trees count in height order, then bucket order.  Only the boundary
         bucket is sliced; every bucket above it moves as it is, and the
         moved size and phi are summed in one pass over the moved heights.
-        cached_min goes with its root, its index shifted if the boundary
-        bucket was sliced in front of it.  Cost: a few list operations per
-        height, no comparison; never fixes.
+        Both forests are left without cached_min.  Cost: a few list
+        operations per height, no comparison; never fixes.
         """
+        self.cached_min = None
         roots = self.roots
         for h, bucket in enumerate(roots):
             if count < len(bucket):
@@ -171,47 +147,27 @@ class Forest:
         into.roots = tail
         into.size = size
         self.size -= size
-        cached = self.cached_min
-        if cached is not None and (cached[0], cached[1]) >= (h, count):
-            self.cached_min = None
-            into.cached_min = (cached if cached[0] > h
-                               else (h, cached[1] - count, cached[2]))
         return phi
 
-    def meld(self, other, less):
+    def meld(self, other):
         """Move all of other's trees into this forest, leaving other empty.
 
         Other's list at each height goes onto the end of this forest's list
         at that height; its lists above this forest's top are adopted as
         they are, so the trees land exactly where filing each of them with
-        add_root would put them.  Cost: one list operation per height, and
-        at most the one comparison below; never fixes.
-
-        cached_min is kept, with no comparison, when either side is empty,
-        and at one comparison (offer_min, made before any tree moves, so
-        one that raises moves none) when both sides are cached; otherwise
-        it is dropped.  Other is left without one.
+        add_root would put them.  Both forests are left without
+        cached_min.  Cost: one list operation per height, no comparison;
+        never fixes.
         """
         roots = self.roots
         theirs = other.roots
-        cached = other.cached_min
-        if not self.size:
-            self.cached_min = cached
-        elif other.size:
-            if cached is not None and self.cached_min is not None:
-                h, index, root = cached
-                if h < len(roots):
-                    index += len(roots[h])
-                self.offer_min(h, index, root, less)
-            else:
-                self.cached_min = None
         for bucket, more in zip(roots, theirs):
             bucket += more
         roots += theirs[len(roots):]
         self.size += other.size
+        self.cached_min = other.cached_min = None
         other.roots = []
         other.size = 0
-        other.cached_min = None
 
     def find_root(self, root):
         """Locate the tree rooted at this node; returns (height, index)."""
@@ -241,7 +197,7 @@ class Forest:
                 yield PerfectTree(root, h)
 
     def scan_min(self, less):
-        """Find a tree with minimal root key; returns (height, index, root).
+        """Find a tree with minimal root key; returns (height, root).
 
         Ties go to the lower height, then the earlier bucket position.
         Exactly (number of trees - 1) comparisons, counted in bulk on the
@@ -263,7 +219,7 @@ class Forest:
                     best_key = key
                     best_h = h
         less.count += seen - 1
-        return best_h, self.roots[best_h].index(best), best
+        return best_h, best
 
     def fix(self, less, ledger=None):
         """Restore the policy's digit bound; returns carries performed.
@@ -342,20 +298,20 @@ class Forest:
         the released children already filed; returns its new height, or -1
         once it is dropped.
 
-        If the carry took the three roots ahead of it, its index moves down
-        by 3 and nothing else changes: those roots were strictly larger, so
-        top and the children they shed are too.  Otherwise the cached root
-        was one of the three, and it is top, since the roots ahead of it
-        were strictly larger.  It now sits last at h + 1, and the roots
-        that could tie it there are the rest of its old bucket and its
-        released children (both now below it) and the roots ahead of it at
-        h + 1; it stays only if it is strictly less than each.  The checks
-        are charged on less once they return, the first one that fails
-        included; that one, or one that raises, leaves the cache empty.
+        If the cached root is still a root other than top, the carry took
+        three roots ahead of it and nothing changes: those roots were
+        strictly larger, so top and the children they shed are too.
+        Otherwise the cached root was one of the three, and it is top,
+        since the roots ahead of it were strictly larger.  It now sits last
+        at h + 1, and the roots that could tie it there are the rest of its
+        old bucket and its released children (both now below it) and the
+        roots ahead of it at h + 1; it stays only if it is strictly less
+        than each.  The checks are charged on less once they return, the
+        first one that fails included; that one, or one that raises, leaves
+        the cache empty.
         """
-        _, index, best = self.cached_min
-        if index >= 3:
-            self.cached_min = (h, index - 3, best)
+        best = self.cached_min[1]
+        if best is not top and best.parent is None:
             return h
         self.cached_min = None
         if top is not best:  # only under an inconsistent comparator
@@ -369,7 +325,7 @@ class Forest:
                 less.count += checked
                 return -1
         less.count += len(rivals)
-        self.cached_min = (h + 1, len(ahead) - 1, best)
+        self.cached_min = (h + 1, best)
         return h + 1
 
     def validate(self, less=operator.lt, full=True):
@@ -397,8 +353,8 @@ class Forest:
         if cached is not None and (
                 not (total and self.size)
                 or cached != self.scan_min(CountingComparator(less))):
-            h, index, root = cached
-            problems.append(f"cached minimum {root.key!r} at ({h}, {index}) "
+            h, root = cached
+            problems.append(f"cached minimum {root.key!r} at height {h} "
                             f"is not scan_min's choice")
         if full:
             for tree in self.trees():

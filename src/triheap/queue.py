@@ -23,22 +23,23 @@ class Queue:
     meld and split, all addressed through stable element handles.
 
     find_min scans the roots only when the forest holds no cached minimum
-    (Forest.cached_min, the root Forest.scan_min would pick, ties included)
-    and caches what it found; delete_min removes the cached root when there
-    is one, with no scan.  Upkeep per op, carries included (each carry at
-    the cached height costs a few comparisons at most, see Forest):
+    (Forest.cached_min, the (height, root) Forest.scan_min would pick,
+    ties included) and caches what it found; delete_min removes the cached
+    root when there is one, with no scan.  Upkeep per op, carries included
+    (a carry of the cached root costs a few comparisons at most, see
+    Forest):
 
     - insert: 1 comparison, made before the new root is filed.  An insert
       never creates a cache, so a run of inserts pays nothing for it.
-    - decrease_key: 0 comparisons when the element is in the cached root's
-      tree or its sift stopped below a root, else 1.
-    - delete: 0 comparisons, or 1 when the removed tree sat at the cached
-      height after the cached root; dropped when the element is in the
-      cached root's tree.
-    - split: none; the half that receives the cached root keeps it.
-    - meld: none when a side is empty, 1 comparison when both are cached;
-      dropped otherwise.
-    - delete_min: dropped.  A tie with the cached root drops it too.
+    - decrease_key: kept when the sift stopped below a root or reached the
+      cached root; dropped when it reached another root.
+    - delete: kept, unless the element is in the cached root's tree or its
+      tree sat at the cached height after the cached root: dropped.
+    - split and meld: dropped on both sides.
+    - delete_min: dropped.  A tie with the cached root in a carry drops it
+      too.
+
+    None of the drops costs a comparison.
 
     Every op that opens a ledger record closes it, also when the comparator
     raises, with the carries (counted on the ledger since the record
@@ -87,21 +88,11 @@ class Queue:
     def _run_fix(self):
         return self.forest.fix(self.comparator, self.ledger)
 
-    def _remove_root(self, op, h, index, c0):
-        """The one root-removal path, shared by delete_min and delete.
-
-        The height-h root's two subtrees rejoin the forest as they are, so
-        phi changes by h - 2 (by 0 for a singleton); then carries run.
-        """
-        forest = self.forest
+    def _fix_op(self, op, delta, c0):
+        """Open op's record with its structural delta, run the carries and
+        close the record with the carries since then and the comparisons
+        since c0, also when the comparator raises."""
         ledger = self.ledger
-        left, right = detach_root(forest.remove_root(h, index))
-        if left is not None:
-            forest.add_root(left, h - 1)
-            forest.add_root(right, h - 1)
-            delta = h - 2
-        else:
-            delta = 0
         ledger.record_structural(op, delta)
         r0 = ledger.rearrangements
         try:
@@ -109,6 +100,22 @@ class Queue:
         finally:
             ledger.finish_op(ledger.rearrangements - r0,
                              self.comparator.count - c0)
+
+    def _remove_root(self, op, h, root, c0):
+        """The one root-removal path, shared by delete_min and delete.
+
+        The height-h root's two subtrees rejoin the forest as they are, so
+        phi changes by h - 2 (by 0 for a singleton); then carries run.
+        """
+        forest = self.forest
+        forest.remove_root(h, root)
+        left, right = detach_root(root)
+        delta = 0
+        if left is not None:
+            forest.add_root(left, h - 1)
+            forest.add_root(right, h - 1)
+            delta = h - 2
+        self._fix_op(op, delta, c0)
 
     def insert(self, key, payload=None):
         """Add an element as a fresh height-0 tree; returns its handle.
@@ -120,30 +127,23 @@ class Queue:
         """
         self._require_alive()
         forest = self.forest
-        ledger = self.ledger
         c0 = self.comparator.count
         node = Node(key, payload)
         cached = forest.cached_min
         if cached is not None:
-            # Forest.offer_min for a root filed last in bucket 0: it beats
-            # a cached root at height 0 by being less, one above by a tie.
+            # Filed last in bucket 0, the new root beats a cached root at
+            # height 0 by being less, and one above by a tie.
             forest.cached_min = None
             less = self.comparator
-            best = cached[2].key
+            best = cached[1].key
             if (not less.raw_less(best, key) if cached[0]
                     else less.raw_less(key, best)):
-                cached = (0, len(forest.roots[0]), node)
+                cached = (0, node)
             less.count += 1
             forest.cached_min = cached
         handle = Handle(node)
         forest.add_root(node, 0)
-        ledger.record_structural("insert", 0)
-        r0 = ledger.rearrangements
-        try:
-            self._run_fix()
-        finally:
-            ledger.finish_op(ledger.rearrangements - r0,
-                             self.comparator.count - c0)
+        self._fix_op("insert", 0, c0)
         return handle
 
     def find_min(self):
@@ -157,7 +157,7 @@ class Queue:
         c0 = self.comparator.count
         if forest.cached_min is None:
             forest.cached_min = forest.scan_min(self.comparator)
-        root = forest.cached_min[2]
+        root = forest.cached_min[1]
         self.ledger.record_structural("find_min", 0)
         self.ledger.finish_op(0, self.comparator.count - c0)
         return root.key, root.payload
@@ -173,8 +173,8 @@ class Queue:
         self._require_alive()
         forest = self.forest
         c0 = self.comparator.count
-        h, index, root = forest.cached_min or forest.scan_min(self.comparator)
-        self._remove_root("delete_min", h, index, c0)
+        h, root = forest.cached_min or forest.scan_min(self.comparator)
+        self._remove_root("delete_min", h, root, c0)
         return root.key, root.payload
 
     def decrease_key(self, handle, new_key):
@@ -186,13 +186,12 @@ class Queue:
         op's record is closed on every path, a rejected key increase or a
         raising comparator included, with the comparisons made by then.  A
         comparator that raises inside the sift leaves the element where it
-        was, with its old key.  A cached minimum is kept at no cost when
-        the element is in the cached root's tree or its sift stopped below
-        the root, else at one comparison.
+        was, with its old key.  A cached minimum is dropped when the sift
+        reached a root other than the cached one, and kept otherwise.
         """
         self._require_alive()
         node = self._live_node(handle)
-        h, index, root = self._tree_of(node)
+        _, _, root = self._tree_of(node)
         forest = self.forest
         c0 = self.comparator.count
         self.ledger.record_structural("decrease_key", 0)
@@ -208,8 +207,8 @@ class Queue:
                 node.key = old_key
                 raise
             cached = forest.cached_min
-            if cached is not None and top is root and root is not cached[2]:
-                forest.offer_min(h, index, root, self.comparator)
+            if cached is not None and top is root and root is not cached[1]:
+                forest.cached_min = None
         finally:
             self.ledger.finish_op(0, self.comparator.count - c0)
 
@@ -224,9 +223,7 @@ class Queue:
         A cached minimum in another tree stays, at no cost, unless the
         removed tree sat at the cached height after it: then the tree's
         other elements drop one height below the cached root, where a tie
-        would beat it, and one comparison with the old root key, the least
-        of them, decides.  That comparison comes before anything moves, so
-        one that raises leaves the queue as it was, without a cache.
+        would beat it, and the cache is dropped.
         """
         self._require_alive()
         node = self._live_node(handle)
@@ -235,13 +232,10 @@ class Queue:
         h, index, root = self._tree_of(node)
         cached = forest.cached_min
         if (cached is not None and h and cached[0] == h
-                and index > cached[1]):
+                and index > forest.roots[h].index(cached[1])):
             forest.cached_min = None
-            if self.comparator.raw_less(cached[2].key, root.key):
-                forest.cached_min = cached
-            self.comparator.count += 1
         sift_to_root(node)
-        self._remove_root("delete", h, index, c0)
+        self._remove_root("delete", h, root, c0)
 
     def split(self, fraction):
         """Move the trees past the fraction point into a new queue; returns it.
@@ -251,8 +245,8 @@ class Queue:
         new queue of self's type, policy and key order.  Handles follow
         their elements.  Each ledger records one "split" op for moved phi.
         Cost: Forest.split's few list operations per height (only the
-        boundary bucket is sliced), no comparison and no carry.  A cached
-        minimum stays with the half that holds its root.
+        boundary bucket is sliced), no comparison and no carry.  Neither
+        half keeps a cached minimum.
         """
         self._require_alive()
         if not 0 <= fraction <= 1:
@@ -275,11 +269,10 @@ class Queue:
         the result.  Buckets concatenate height-wise with self's trees first,
         no tree changes height before fixing, and every handle from either
         input stays valid against the result.  Cost before fixing:
-        Forest.meld's one list operation per height, plus one comparison
-        when both queues hold a cached minimum; then the carries run.  A
-        comparator that raises in that comparison has moved no tree and
-        left self without a cache.  Other's ledger hands its phi over with
-        its trees.
+        Forest.meld's one list operation per height, no comparison; then
+        the carries run.  The result holds no cached minimum.  Other's
+        ledger hands its phi over with its trees.  The two comparators must
+        be equal (==), as two bound methods of one object are.
         """
         self._require_alive()
         other._require_alive()
@@ -288,21 +281,14 @@ class Queue:
         if self.policy != other.policy:
             raise ContractViolation(
                 f"meld across fix policies {self.policy} / {other.policy}")
-        if other.comparator.raw_less is not self.comparator.raw_less:
+        if other.comparator.raw_less != self.comparator.raw_less:
             raise ContractViolation("meld across different comparators")
-        ledger = self.ledger
         c0 = self.comparator.count + other.comparator.count
-        self.forest.meld(other.forest, self.comparator)
+        self.forest.meld(other.forest)
         self.comparator.count += other.comparator.count
-        ledger.absorb(other.ledger)
+        self.ledger.absorb(other.ledger)
         other.alive = False
-        ledger.record_structural("meld", 0)
-        r0 = ledger.rearrangements
-        try:
-            self._run_fix()
-        finally:
-            ledger.finish_op(ledger.rearrangements - r0,
-                             self.comparator.count - c0)
+        self._fix_op("meld", 0, c0)
         return self
 
     def validate(self, full=True):

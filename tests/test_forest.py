@@ -180,8 +180,8 @@ class TestScanMin:
     def test_single_tree(self):
         f = forest_with_singletons(1)
         less = cmp()
-        h, i, root = f.scan_min(less)
-        assert (h, i, root.key) == (0, 0, 0)
+        h, root = f.scan_min(less)
+        assert (h, root) == (0, f.roots[0][0]) and root.key == 0
         assert less.count == 0
 
     def test_min_across_heights(self, rng):
@@ -190,23 +190,23 @@ class TestScanMin:
         t = build_perfect_heap([2, 5, 9], rng)
         f.add_root(t.root, t.height)
         f.add_root(singleton(9), 0)
-        h, _, root = f.scan_min(cmp())
+        h, root = f.scan_min(cmp())
         assert (h, root.key) == (1, 2)
 
     def test_tie_prefers_lower_height(self, rng):
         f = Forest()
-        f.add_root(singleton(3), 0)
+        low = singleton(3)
+        f.add_root(low, 0)
         f.add_root(build_perfect_heap([3, 4, 5, 6, 7, 8, 9], rng).root, 2)
-        h, i, root = f.scan_min(cmp())
-        assert h == 0 and i == 0
+        assert f.scan_min(cmp()) == (0, low)
 
     def test_tie_prefers_earlier_position(self):
         f = Forest()
         first = singleton(3)
         f.add_root(first, 0)
         f.add_root(singleton(3), 0)
-        _, i, root = f.scan_min(cmp())
-        assert i == 0 and root is first
+        _, root = f.scan_min(cmp())
+        assert root is first
 
     def test_comparison_count(self, rng):
         f = Forest()

@@ -249,6 +249,32 @@ class TestMeld:
         with pytest.raises(ContractViolation):
             a.meld(b)
 
+    def test_equal_comparators_meld(self):
+        # Two bound methods of one object are equal but not identical.
+        class Order:
+            def lt(self, a, b):
+                return a < b
+
+        order = Order()
+        a = Queue(less=order.lt)
+        b = Queue(less=order.lt)
+        a.insert(1)
+        b.insert(2)
+        assert a.meld(b) is a
+        assert [a.delete_min()[0] for _ in range(2)] == [1, 2]
+        assert a.validate() == []
+
+    def test_different_comparators_rejected(self):
+        a = Queue()
+        b = Queue(less=lambda x, y: x > y)
+        a.insert(1)
+        b.insert(2)
+        with pytest.raises(ContractViolation,
+                           match="meld across different comparators"):
+            a.meld(b)
+        assert a.alive and b.alive
+        assert len(a) == len(b) == 1
+
     def test_consumed_queue_unusable(self):
         a = Queue()
         b = Queue()
@@ -427,7 +453,8 @@ def shape(node):
 class TestBucketSplice:
     """Forest.split and Forest.meld move whole buckets; these check that
     they move exactly the trees, in exactly the order, that filing each
-    tree with add_root would, and that Queue.split and Queue.meld keep
+    tree with add_root would, that both leave every forest involved
+    without a cached minimum, and that Queue.split and Queue.meld keep
     their behavior on top of them."""
 
     POLICIES = [FixPolicy(), FixPolicy("relaxed")]
@@ -462,17 +489,26 @@ class TestBucketSplice:
             assert count in ends
 
         # Forest level, before any fix: the round trip files every root
-        # back in place, by identity and order.
+        # back in place, by identity and order, and drops the cache.
+        if len(q):
+            q.find_min()
         before = filed(q.forest)
         size, phi = q.forest.size, q.ledger.phi
         moved = Forest(policy)
         moved_phi = q.forest.split(count, moved)
-        q.forest.meld(moved, q.comparator)
+        assert q.forest.cached_min is None and moved.cached_min is None
+        if len(q):
+            q.find_min()
+        q.forest.meld(moved)
+        assert q.forest.cached_min is None and moved.cached_min is None
         assert filed(q.forest) == before
         assert q.forest.size == size and moved.roots == [] and \
             moved.size == 0
 
+        if len(q):
+            q.find_min()
         other = q.split(fraction)
+        assert q.forest.cached_min is None and other.forest.cached_min is None
         kept = [(h, id(root)) for h, bucket in enumerate(q.forest.roots)
                 for root in bucket]
         gone = [(h, id(root)) for h, bucket in enumerate(other.forest.roots)
@@ -504,11 +540,14 @@ class TestBucketSplice:
         # Forest level: the splice puts every root where add_root would.
         a, b = mixed_queue(policy, n_a, seed), mixed_queue(policy, n_b, ~seed)
         reference = Forest(policy)
-        for forest in (a.forest, b.forest):
-            for h, bucket in enumerate(forest.roots):
+        for x in (a, b):
+            if len(x):
+                x.find_min()
+            for h, bucket in enumerate(x.forest.roots):
                 for root in bucket:
                     reference.add_root(root, h)
-        a.forest.meld(b.forest, a.comparator)
+        a.forest.meld(b.forest)
+        assert a.forest.cached_min is None and b.forest.cached_min is None
         assert filed(a.forest) == filed(reference)
         assert a.forest.size == reference.size
         assert (b.forest.roots, b.forest.size) == ([], 0)
@@ -617,14 +656,15 @@ class TestDecreaseKey:
         assert h.key == 5
 
     @pytest.mark.parametrize("keys, where", [
-        ((1, 5), "cache upkeep"),
+        (tuple(range(1, 10)), "sift after a swap"),
         ((1, 5, 7), "sift"),
         ((-1,), "increase check"),
     ])
     def test_raising_comparator_closes_its_op(self, keys, where):
         # picky raises on {-1, 1}; decreasing the last key to -1 meets 1
-        # in the min-cache upkeep (two singletons, 1 cached), in sift_up
-        # (one height-1 tree rooted at 1), or in the increase check.
+        # in sift_up, after one swap with 7 (one height-2 tree rooted at 1)
+        # or at once (one height-1 tree rooted at 1), or in the increase
+        # check.
         def picky(a, b):
             if {a, b} == {-1, 1}:
                 raise ValueError("planted")
@@ -763,7 +803,7 @@ def fresh_scan(q):
 
 
 class TestMinCache:
-    """Queue._min is None or exactly the (height, index, root) that a fresh
+    """Forest.cached_min is None or exactly the (height, root) that a fresh
     scan_min returns, after every public op."""
 
     POLICIES = [FixPolicy(), FixPolicy("relaxed"),
@@ -781,9 +821,9 @@ class TestMinCache:
     @pytest.mark.parametrize("seed", range(4))
     def test_cache_is_scan_mins_choice_after_every_op(self, seed, policy):
         # Keys start in range(8) and decrease-keys lower them by up to 8,
-        # so ties are common and many sifts reach a root.  Every upkeep
-        # path must run at least once; a carry keeps the cached root when
-        # the root stays cached at a greater height.
+        # so ties are common and many sifts reach a root.  Every path that
+        # keeps or drops the cache must run at least once; a carry keeps
+        # the cached root when the root stays cached at a greater height.
         rng = random.Random(seed)
         q = Queue(policy=policy)
         live = []
@@ -795,11 +835,19 @@ class TestMinCache:
             if not live or roll < 0.35:
                 live.append(q.insert(rng.randrange(8)))
                 after = q.forest.cached_min
-                if before is not None and after is None:
-                    paths["carried root dropped on a tie"] += 1
-                elif (before is not None and after[2] is before[2]
-                        and after[0] > before[0]):
-                    paths["carried root kept"] += 1
+                if before is None:
+                    path = None
+                elif after is None:
+                    path = "carried root dropped on a tie"
+                elif after[1] is live[-1].node:
+                    path = "insert won"
+                elif after[0] > before[0]:
+                    assert after[1] is before[1]
+                    path = "carried root kept"
+                else:
+                    assert after is before
+                    path = "insert lost"
+                paths[path] += 1
             elif roll < 0.55:
                 assert q.find_min()[0] == min(h.key for h in live)
             elif roll < 0.65:
@@ -811,39 +859,39 @@ class TestMinCache:
             elif roll < 0.8:
                 h = rng.choice(live)
                 q.decrease_key(h, h.key - rng.randrange(9))
-                if (before is not None and h.node.parent is None
-                        and h.node is not before[2]):
-                    won = q.forest.cached_min[2] is h.node
-                    paths["dk won" if won else "dk lost"] += 1
+                if before is not None:
+                    if h.node.parent is not None:
+                        path = "dk stopped below a root"
+                    elif h.node is before[1]:
+                        path = "dk reached the cached root"
+                    else:
+                        path = "dk reached another root"
+                    kept = path != "dk reached another root"
+                    assert q.forest.cached_min is (before if kept else None)
+                    paths[path] += 1
             elif roll < 0.85:
                 h = live.pop(rng.randrange(len(live)))
                 q.delete(h)
-                paths["delete kept"] += (before is not None and
-                                         q.forest.cached_min is not None)
+                if before is not None:
+                    kept = q.forest.cached_min is not None
+                    paths["delete kept" if kept else "delete dropped"] += 1
             elif roll < 0.88:
                 q.find_min()
-                held = q.forest.cached_min
                 other = q.split(rng.random())
-                # The half that holds the cached root keeps it; the other
-                # half has none.
-                caches = [x.forest.cached_min for x in (q, other)]
-                assert [c[2] for c in caches if c is not None] == [held[2]]
-                paths["split holder kept"] += 1
+                assert q.forest.cached_min is None
+                assert other.forest.cached_min is None
                 for half in (q, other):
                     assert half.validate(full=False) == []
-                if len(other) and rng.random() < 0.5:
-                    other.find_min()
-                both = None not in (q.forest.cached_min,
-                                    other.forest.cached_min)
+                for half in (q, other):
+                    if len(half) and rng.random() < 0.5:
+                        half.find_min()
                 q.meld(other)
+                assert q.forest.cached_min is None
                 assert other.forest.cached_min is None
-                # The meld keeps the winner; only a tie in its carries
-                # can drop it.
-                paths["meld of two cached queues"] += (
-                    both and q.forest.cached_min is not None)
             elif roll < 0.9:
                 other, handles = self.filled(rng, policy, rng.randrange(1, 40))
                 q.meld(other)
+                assert q.forest.cached_min is None
                 assert other.forest.cached_min is None
                 live.extend(handles)
             elif roll < 0.95:
@@ -866,9 +914,11 @@ class TestMinCache:
         assert sorted(h.key for h in foreign_handles) == \
             sorted(k for t in foreign.forest.trees() for k in t.keys())
         assert min(paths[p] for p in (
-            "carried root kept", "carried root dropped on a tie",
-            "delete_min cached", "dk won", "dk lost", "delete kept",
-            "split holder kept", "meld of two cached queues")) > 0, paths
+            "insert won", "insert lost", "carried root kept",
+            "carried root dropped on a tie", "delete_min cached",
+            "dk stopped below a root", "dk reached the cached root",
+            "dk reached another root", "delete kept",
+            "delete dropped")) > 0, paths
 
     def test_carried_singleton_next_to_an_equal_key_drops(self):
         """Root 5 of a height-1 tree and a cached singleton 5 below it: the
@@ -881,7 +931,7 @@ class TestMinCache:
         tall = q.forest.roots[1][0]
         single = q.insert(5).node
         assert q.find_min() == (5, None)
-        assert q.forest.cached_min == (0, 0, single)
+        assert q.forest.cached_min == (0, single)
         q.insert(8)
         q.insert(9)  # carries 5, 8, 9; the 5 checks the earlier 5, ties
         rec = q.ledger.records[-1]
@@ -889,14 +939,34 @@ class TestMinCache:
         assert q.forest.roots[1] == [tall, single]
         assert q.forest.cached_min is None
         assert q.find_min() == (5, None)
-        assert q.forest.cached_min == (1, 0, tall) == fresh_scan(q)
+        assert q.forest.cached_min == (1, tall) == fresh_scan(q)
+        assert q.validate() == []
+
+    def test_inconsistent_carry_drops_the_cache(self):
+        """The carry of a cached 5 with 7 and 9 meets a comparator that
+        lies once, on its third call, that 7 < 5: 7 adopts 5, and the
+        cache must not keep a root that is now a child."""
+        calls = []
+
+        def liar(a, b):
+            calls.append((a, b))
+            return True if len(calls) == 3 else a < b
+
+        q = Queue(less=liar)
+        five = q.insert(5).node
+        q.find_min()
+        q.insert(7)
+        q.insert(9)
+        assert calls[2] == (7, 5) and five.parent is q.forest.roots[1][0]
+        assert q.forest.cached_min is None
+        assert q.delete_min()[0] == 7
         assert q.validate() == []
 
     def test_upkeep_costs(self):
-        """Each path that keeps the cache pays what Queue's docstring says:
-        a carry of the cached root one check per rival, a delete behind it
-        at its height one, a delete elsewhere none, a meld of two cached
-        queues one and a split none."""
+        """Each op pays what Queue's docstring says: a carry of the cached
+        root one check per rival; a delete outside the cached root's tree
+        none, and none either when it drops the cache; a meld or a split
+        none, and both drop it."""
         q = Queue(keep_records=True)
 
         def cost():
@@ -910,19 +980,21 @@ class TestMinCache:
         assert cost() == 1  # the offer
         q.insert(80)  # offer, carry of 3, 70, 80, then 3 checks 10
         assert cost() == 1 + 2 + 1
-        assert q.forest.cached_min == (1, 1, three) == fresh_scan(q)
+        assert q.forest.cached_min == (1, three) == fresh_scan(q)
 
         q = Queue(keep_records=True)
         h = {k: q.insert(k) for k in range(1, 7)}  # height-1 trees 1 and 4
         assert q.find_min() == (1, None)
-        q.delete(h[5])  # tree 4 sits behind 1 at height 1: one check
-        assert cost() == 1
-        assert q.forest.digits() == [2, 1]
-        assert q.forest.cached_min == (1, 0, h[1].node) == fresh_scan(q)
-        q.delete(h[6])  # a singleton below: nothing to check
+        q.delete(h[5])  # tree 4 sits behind 1 at height 1: dropped
         assert cost() == 0
-        assert q.forest.cached_min == (1, 0, h[1].node) == fresh_scan(q)
+        assert q.forest.digits() == [2, 1]
+        assert q.forest.cached_min is None
+        assert q.find_min() == (1, None) and cost() == 2
+        q.delete(h[6])  # a singleton below: kept
+        assert cost() == 0
+        assert q.forest.cached_min == (1, h[1].node) == fresh_scan(q)
         q.delete(h[2])  # in the cached root's tree: dropped
+        assert cost() == 2  # the carry of the three singletons left
         assert q.forest.cached_min is None
         assert q.validate() == []
 
@@ -932,13 +1004,13 @@ class TestMinCache:
         a.find_min()
         b.find_min()
         a.meld(b)
-        assert a.ledger.records[-1].comparisons == 1
-        assert a.forest.cached_min == (0, 1, a.forest.roots[0][1])
-        assert a.forest.cached_min == fresh_scan(a)
+        assert a.ledger.records[-1].comparisons == 0
+        assert a.forest.cached_min is None and b.forest.cached_min is None
+        assert a.find_min() == (1, None)
         other = a.split(0.5)
         assert a.ledger.records[-1].comparisons == 0
         assert a.forest.cached_min is None
-        assert other.forest.cached_min == (0, 0, other.forest.roots[0][0])
+        assert other.forest.cached_min is None
         assert other.find_min() == (1, None)
         assert a.validate() == [] and other.validate() == []
 
@@ -967,9 +1039,9 @@ class TestMinCache:
 
     def test_decrease_key_upkeep_costs(self):
         """A tree of 10 over 20 and 30, and a singleton 5 cached as the
-        minimum: each decrease-key pays its check and its sift, plus one
-        upkeep comparison only when a root other than the cached one got
-        a new key."""
+        minimum: each decrease-key pays its check and its sift and nothing
+        for the cache, which it drops when a root other than the cached
+        one got the new key."""
         q = Queue(keep_records=True)
         h10, h20, h30 = (q.insert(k) for k in (10, 20, 30))
         h5 = q.insert(5)
@@ -984,26 +1056,18 @@ class TestMinCache:
         assert q.forest.cached_min is cached
         assert cost(h5, 4) == 1  # check; the cached root itself
         assert q.forest.cached_min is cached
-        assert cost(h10, 8) == 2  # check, upkeep: 4 stays the minimum
-        assert q.forest.cached_min is cached
-        assert cost(h20, 3) == 3  # check, one sift step, upkeep: 3 wins
-        assert q.forest.cached_min == (1, 0, h20.node) == fresh_scan(q)
-        assert q.validate() == []
-
-    def test_raise_in_decrease_key_upkeep_leaves_no_cache(self):
-        def picky(a, b):
-            if {a, b} == {-1, 1}:
-                raise ValueError("planted")
-            return a < b
-
-        q = Queue(less=picky)
-        q.insert(1)
-        h = q.insert(5)
-        q.find_min()
-        with pytest.raises(ValueError):
-            q.decrease_key(h, -1)
+        assert cost(h10, 8) == 1  # check; another root: dropped
         assert q.forest.cached_min is None
-        assert [t.root.key for t in q.forest.trees()] == [1, -1]
+        assert q.find_min() == (4, None)
+        assert cost(h20, 3) == 2  # check, one sift step; another root
+        assert q.forest.cached_min is None
+        assert q.find_min() == (3, None)
+        cached = q.forest.cached_min
+        assert cached == (1, h20.node) == fresh_scan(q)
+        assert cost(h10, 2) == 2  # check, one sift step to the cached root
+        assert q.forest.cached_min is cached
+        assert cached == (1, h10.node) == fresh_scan(q)
+        assert q.validate() == []
 
     def test_repeated_find_min_costs_nothing(self):
         q = Queue(keep_records=True)
@@ -1030,9 +1094,13 @@ class TestMinCache:
             q.insert(k)
         q.find_min()
         assert q.validate() == []
-        q.forest.cached_min = (0, 1, q.forest.roots[0][1])
+        least, other = q.forest.roots[0]
+        q.forest.cached_min = (0, other)
         assert q.validate() == [
-            "cached minimum 2 at (0, 1) is not scan_min's choice"]
+            "cached minimum 2 at height 0 is not scan_min's choice"]
+        q.forest.cached_min = (1, least)
+        assert q.validate() == [
+            "cached minimum 1 at height 1 is not scan_min's choice"]
 
     def test_validate_reports_comparison_drift(self):
         q = Queue()
