@@ -1,7 +1,8 @@
 """Digit-only simulator of the powers-of-two-minus-one number system.
 
 Each increment mirrors one insert into the real queue: digit 0 gains a tree,
-then carries run under the fix policy.  No keys, no nodes, just counts.
+then carries run under the fix policy.  remove(h) mirrors removing a
+height-h root and add(other) a meld.  No keys, no nodes, just counts.
 Deliberately implemented from scratch (not on top of Forest) so the two can
 cross-check each other's carry scheduling.
 """
@@ -46,6 +47,28 @@ class SkewCounter:
         if not self.digits:
             self.digits.append(0)
         self.digits[0] += 1
+        return self._settle()
+
+    def remove(self, h):
+        """Take one tree of height h away, its two height-h-1 subtrees
+        staying (the digit view of removing a root); returns carries."""
+        self.digits[h] -= 1
+        if h:
+            self.digits[h - 1] += 2
+        return self._settle()
+
+    def add(self, other):
+        """Add other's digits place by place (the digit view of meld);
+        returns carries."""
+        digits = self.digits
+        digits += [0] * (len(other.digits) - len(digits))
+        for h, d in enumerate(other.digits):
+            digits[h] += d
+        return self._settle()
+
+    def _settle(self):
+        """Carry under the policy, rescanning from height 0 after every
+        carry, and trim top zeros; returns carries performed."""
         before = self.carries
         if self.policy.mode == EAGER:
             h = self._lowest_at_least(3)
