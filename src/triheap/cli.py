@@ -10,7 +10,7 @@ import random
 import sys
 
 from .counter import SkewCounter
-from .errors import HeapError
+from .errors import ContractViolation, HeapError
 from .forest import FixPolicy
 from .oracle import run_differential
 from .workload import (STATS_COLUMNS, QueueRunner, ScriptParseError,
@@ -20,7 +20,11 @@ _TABLE_FMT = "{:>8} {:<12} {:>8} {:>6} {:>14} {:>12} {:>9} {:>10}"
 
 
 def policy_from_args(args):
-    return FixPolicy(mode=args.policy, relaxed_budget=args.relaxed_budget)
+    """The FixPolicy the flags name; a bad value is a usage error."""
+    try:
+        return FixPolicy(mode=args.policy, relaxed_budget=args.relaxed_budget)
+    except ContractViolation as exc:
+        raise ScriptParseError(str(exc)) from exc
 
 
 def _stats_writer(stream, fmt):
@@ -123,6 +127,8 @@ def cmd_verify(args):
 
 
 def cmd_bench(args):
+    if min(args.sizes) < 0:
+        raise ScriptParseError("bench sizes must be >= 0")
     policy = policy_from_args(args)
     write = _stats_writer(sys.stdout, args.fmt)
     for n in args.sizes:

@@ -27,6 +27,7 @@ from .tree import (CountingComparator, PerfectTree, rearrange_roots,
 
 EAGER = "eager"
 RELAXED = "relaxed"
+SCAN = -1  # Forest.pending: roots filed at two heights, or a fix cut short
 
 
 @dataclass(frozen=True)
@@ -34,7 +35,9 @@ class FixPolicy:
     """How aggressively fix() restores the per-height tree-count bound.
 
     eager repeats carries until no height holds three or more trees, keeping
-    every digit <= 2.  relaxed spends at most relaxed_budget carries per call
+    every digit <= 2; with every digit <= 2 before an op that filed at one
+    height, fix walks that op's carry chain instead of scanning (see
+    Forest.fix).  relaxed spends at most relaxed_budget carries per call
     on digits >= 3, then force-fixes any digit that reached 5, keeping every
     digit <= 4 while doing near-constant work per call in the typical case.
     """
@@ -77,15 +80,21 @@ class Forest:
     - split and meld drop it on both sides.
     - add_root leaves it as it is: a caller that files a root which could
       beat it settles that first.
+
+    pending tells fix where roots were filed since its last completed run:
+    None for nowhere, a height when add_root filed only there, SCAN for
+    anything else (two heights, a meld, or a run cut short by a raising
+    comparator, which can leave a digit over the bound).
     """
 
-    __slots__ = ("roots", "size", "policy", "cached_min")
+    __slots__ = ("roots", "size", "policy", "cached_min", "pending")
 
     def __init__(self, policy=None):
         self.roots = []
         self.size = 0
         self.policy = policy if policy is not None else FixPolicy()
         self.cached_min = None
+        self.pending = None
 
     @property
     def buckets(self):
@@ -94,12 +103,14 @@ class Forest:
 
     def add_root(self, root, height):
         """File a root node under its height.  Never triggers fixing, and
-        leaves cached_min as it is."""
+        leaves cached_min as it is; notes the height in pending."""
         roots = self.roots
         while len(roots) <= height:
             roots.append([])
         roots[height].append(root)
         self.size += (1 << (height + 1)) - 1
+        if self.pending != height:
+            self.pending = height if self.pending is None else SCAN
 
     def remove_root(self, height, root):
         """Take root, filed at height, out of the forest (by identity).
@@ -121,8 +132,9 @@ class Forest:
         Trees count in height order, then bucket order.  Only the boundary
         bucket is sliced; every bucket above it moves as it is, and the
         moved size and phi are summed in one pass over the moved heights.
-        Both forests are left without cached_min.  Cost: a few list
-        operations per height, no comparison; never fixes.
+        Both forests are left without cached_min, and into with this
+        forest's pending.  Cost: a few list operations per height, no
+        comparison; never fixes.
         """
         self.cached_min = None
         roots = self.roots
@@ -146,6 +158,7 @@ class Forest:
             phi += n * g
         into.roots = tail
         into.size = size
+        into.pending = self.pending
         self.size -= size
         return phi
 
@@ -166,6 +179,8 @@ class Forest:
         roots += theirs[len(roots):]
         self.size += other.size
         self.cached_min = other.cached_min = None
+        self.pending = SCAN
+        other.pending = None
         other.roots = []
         other.size = 0
 
@@ -224,39 +239,60 @@ class Forest:
     def fix(self, less, ledger=None):
         """Restore the policy's digit bound; returns carries performed.
 
-        One lowest-first scan serves both policies: it carries at the lowest
-        height whose digit reaches the threshold (the first three trees of
-        the bucket, FIFO), then resumes at the height below, the lowest one
-        the carry can have pushed over.  The threshold is 3; under the
-        relaxed policy it becomes 5, and the scan restarts from height 0,
-        once relaxed_budget carries are done.
+        A carry takes the first three trees of a bucket (FIFO) whose digit
+        reaches the threshold.  Two schedules pick the heights; they carry
+        alike wherever both apply:
+
+        - The walk, under eager when pending is a height: with every digit
+          <= 2 before the op, only that height can reach 3, and each carry
+          pushes at most one neighbour to 3: the height below through the
+          released pair (a root removal's chain, running down) or else the
+          height above through the new top (an insert's chain, running up).
+          It starts at the pending height and follows the chain: k carries
+          visit k + 1 or k + 2 heights.  With nothing pending it visits
+          none.
+        - The scan, for everything else (meld, the relaxed policy, a forest
+          a raising comparator left over the bound): lowest first, it
+          carries at the lowest height whose digit reaches the threshold,
+          then resumes at the height below, the lowest one the carry can
+          have pushed over.  The threshold is 3; under the relaxed policy
+          it becomes 5, and the scan restarts from height 0, once
+          relaxed_budget carries are done.
 
         Each carry compares its three roots before it unlinks them, so a
-        comparator that raises leaves every tree in the forest.  less must
-        be a counting comparator: the two comparisons per carry are charged
-        in bulk.  ledger, when given, is charged once per call with the
-        carry count and their net height-sum change (-1 per carry at height
-        h >= 1, +1 per carry of three singletons), and gets one (h, delta)
-        event per carry when it keeps events.
+        comparator that raises leaves every tree in the forest, and pending
+        at SCAN.  less must be a counting comparator: the two comparisons
+        per carry are charged in bulk.  ledger, when given, is charged once
+        per call with the carry count and their net height-sum change (-1
+        per carry at height h >= 1, +1 per carry of three singletons), and
+        gets one (h, delta) event per carry when it keeps events.
 
         cached_min costs one integer comparison per carry, against the
         cached height; a carry at that height is handed to _carry_min once
         its trees are filed.
         """
+        start = self.pending
+        self.pending = SCAN
+        budget = self.policy.relaxed_budget if self.policy.mode == RELAXED else 0
+        walk = not budget and start != SCAN
+        if walk and start is None:
+            self.pending = None
+            return 0
         roots = self.roots
         raw = less.raw_less
         events = ledger.events if ledger is not None else None
-        budget = self.policy.relaxed_budget if self.policy.mode == RELAXED else 0
         cached = self.cached_min
         cached_h = -1 if cached is None else cached[0]
         threshold = 3
         done = 0
         singletons = 0
-        h = 0
+        h = start if walk else 0
         try:
             while h < len(roots):
                 bucket = roots[h]
                 if len(bucket) < threshold:
+                    if walk:
+                        break
                     h += 1
                     continue
                 top, left, right = rearrange_roots(bucket[0], bucket[1],
@@ -273,6 +309,8 @@ class Forest:
                         events.append((0, 1))
                     if cached_h == 0:
                         cached_h = self._carry_min(0, top, [], less)
+                    if walk:
+                        h = 1
                 else:
                     below = roots[h - 1]
                     below.append(left)
@@ -282,7 +320,7 @@ class Forest:
                     if cached_h == h:
                         cached_h = self._carry_min(h, top, [left, right],
                                                    less)
-                    h -= 1
+                    h += 1 if walk and len(below) < 3 else -1
                 if done == budget:
                     threshold = 5
                     h = 0
@@ -291,6 +329,7 @@ class Forest:
             if done and ledger is not None:
                 # +1 per carry of three singletons, -1 per other carry.
                 ledger.record_rearrangement(done, 2 * singletons - done)
+        self.pending = None
         return done
 
     def _carry_min(self, h, top, released, less):

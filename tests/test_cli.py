@@ -113,6 +113,12 @@ class TestCounter:
         assert sum(d * (2 ** (h + 1) - 1) for h, d in enumerate(digits)) == 9
         assert max(digits) <= 4
 
+    def test_zero_relaxed_budget_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "counter", "3", "--relaxed-budget",
+                                 "0")
+        assert code == 2
+        assert out == "" and "relaxed_budget must be >= 1" in err
+
 
 class TestVerify:
 
@@ -216,6 +222,11 @@ class TestBench:
             last_insert = rows[n - 1]
             assert last_insert[1] == "i"
             assert int(last_insert[7]) <= 2 * (n + 1).bit_length() - 2
+
+    def test_negative_size_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "bench", "5", "-5")
+        assert code == 2
+        assert out == "" and "error" in err
 
 
 def test_usage_error_exits_2(capsys):

@@ -12,11 +12,13 @@ from hypothesis import example, given, strategies as st
 import triheap
 from triheap.errors import (ContractViolation, EmptyQueueError,
                             InvalidHandleError)
-from triheap.forest import FixPolicy, Forest
+from triheap.forest import SCAN, FixPolicy, Forest
 from triheap.queue import Queue
 from triheap.tree import CountingComparator, detach_root
+from triheap.workload import QueueRunner, generate_script
 
 from conftest import build_perfect_heap
+from test_workload import MELD_SPLIT_HEAVY
 
 
 def reference_carry_heights(digits, policy):
@@ -1214,3 +1216,65 @@ def test_parallel_queues_are_independent():
     for t in threads:
         t.join()
     assert all(results.values())
+
+
+class ScanningQueue(Queue):
+    """Runs every fix as the general lowest-first scan, never the walk."""
+
+    def _run_fix(self):
+        self.forest.pending = SCAN
+        return super()._run_fix()
+
+
+def roots_and_counts(q):
+    """Root keys per height in bucket order, comparisons, carries and the
+    cached minimum's height and key."""
+    cached = q.forest.cached_min
+    return ([[root.key for root in bucket] for bucket in q.forest.roots],
+            q.comparator.count, q.ledger.rearrangements,
+            None if cached is None else (cached[0], cached[1].key))
+
+
+def sort_ops(n, seed, key_range):
+    rng = random.Random(seed)
+    return [("i", rng.randrange(key_range)) for _ in range(n)] + \
+        [("dm",)] * n
+
+
+@pytest.mark.parametrize("ops", [
+    sort_ops(3000, 1, 2 ** 32),
+    sort_ops(3000, 2, 50),  # many duplicate keys
+    generate_script(21, 6000).ops,
+    generate_script(22, 6000, MELD_SPLIT_HEAVY).ops,
+], ids=["sort", "sort-duplicates", "default-mix", "meld-split-heavy"])
+def test_carry_walk_matches_the_scan_after_every_op(ops):
+    walking, scanning = QueueRunner(), QueueRunner()
+    scanning.queue = ScanningQueue()
+    for step, op in enumerate(ops):
+        assert walking.apply(op) == scanning.apply(op), f"op {step} {op}"
+        assert roots_and_counts(walking.queue) == \
+            roots_and_counts(scanning.queue), f"op {step} {op}"
+    assert walking.queue.validate() == []
+
+
+@pytest.mark.parametrize("queue_cls", [Queue, ScanningQueue])
+def test_forest_over_the_bound_is_scanned_after_a_raising_carry(queue_cls):
+    """The carry of 1, 2 and "x" raises and leaves digit 0 at 3.  Every
+    later fix scans, so every op that reaches one raises again, with the
+    same sizes as a queue that always scans."""
+    q = queue_cls()
+    handle = q.insert(1)
+    q.insert(2)
+    with pytest.raises(TypeError):
+        q.insert("x")
+    assert len(q) == 3 and q.forest.digits() == [3]
+    with pytest.raises(TypeError):
+        q.delete_min()  # its scan_min raises before anything moves
+    assert len(q) == 3
+    with pytest.raises(TypeError):
+        q.insert(3)
+    assert len(q) == 4
+    with pytest.raises(TypeError):
+        q.delete(handle)  # removes a singleton; the fix after it scans
+    assert len(q) == 3 and q.forest.digits() == [3]
+    assert q.comparator.count == q.ledger.comparisons
