@@ -249,8 +249,7 @@ class Forest:
           released pair (a root removal's chain, running down) or else the
           height above through the new top (an insert's chain, running up).
           It starts at the pending height and follows the chain: k carries
-          visit k + 1 or k + 2 heights.  With nothing pending it visits
-          none.
+          visit k + 1 heights.  With nothing pending it visits none.
         - The scan, for everything else (meld, the relaxed policy, a forest
           a raising comparator left over the bound): lowest first, it
           carries at the lowest height whose digit reaches the threshold,
