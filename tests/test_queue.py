@@ -1264,7 +1264,7 @@ def test_forest_over_the_bound_is_scanned_after_a_raising_carry(queue_cls):
     same sizes as a queue that always scans."""
     q = queue_cls()
     handle = q.insert(1)
-    q.insert(2)
+    two = q.insert(2)
     with pytest.raises(TypeError):
         q.insert("x")
     assert len(q) == 3 and q.forest.digits() == [3]
@@ -1278,3 +1278,9 @@ def test_forest_over_the_bound_is_scanned_after_a_raising_carry(queue_cls):
         q.delete(handle)  # removes a singleton; the fix after it scans
     assert len(q) == 3 and q.forest.digits() == [3]
     assert q.comparator.count == q.ledger.comparisons
+    with pytest.raises(TypeError):
+        q.insert(4)
+    moved = q.split(0.0)  # the new queue takes the unfinished scan over
+    with pytest.raises(TypeError):
+        moved.delete(two)
+    assert len(moved) == 3 and moved.forest.digits() == [3]
