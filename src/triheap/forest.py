@@ -286,8 +286,9 @@ class Forest:
         done = 0
         singletons = 0
         h = start if walk else 0
+        n = len(roots)
         try:
-            while h < len(roots):
+            while h < n:
                 bucket = roots[h]
                 if len(bucket) < threshold:
                     if walk:
@@ -297,10 +298,11 @@ class Forest:
                 top, left, right = rearrange_roots(bucket[0], bucket[1],
                                                    bucket[2], raw)
                 del bucket[:3]
-                if h + 1 < len(roots):
+                if h + 1 < n:
                     roots[h + 1].append(top)
                 else:
                     roots.append([top])
+                    n += 1
                 done += 1
                 if left is None:
                     singletons += 1
@@ -312,8 +314,7 @@ class Forest:
                         h = 1
                 else:
                     below = roots[h - 1]
-                    below.append(left)
-                    below.append(right)
+                    below += left, right
                     if events is not None:
                         events.append((h, -1))
                     if cached_h == h:
