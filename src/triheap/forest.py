@@ -35,11 +35,10 @@ class FixPolicy:
     """How aggressively fix() restores the per-height tree-count bound.
 
     eager repeats carries until no height holds three or more trees, keeping
-    every digit <= 2; with every digit <= 2 before an op that filed at one
-    height, fix walks that op's carry chain instead of scanning (see
-    Forest.fix).  relaxed spends at most relaxed_budget carries per call
-    on digits >= 3, then force-fixes any digit that reached 5, keeping every
-    digit <= 4 while doing near-constant work per call in the typical case.
+    every digit <= 2, mostly by walking an op's carry chain (Forest.fix).
+    relaxed spends at most relaxed_budget carries per call on digits >= 3,
+    then force-fixes any digit that reached 5, keeping every digit <= 4
+    while doing near-constant work per call in the typical case.
     """
 
     mode: str = EAGER
@@ -81,10 +80,9 @@ class Forest:
     - add_root leaves it as it is: a caller that files a root which could
       beat it settles that first.
 
-    pending tells fix where roots were filed since its last completed run:
-    None for nowhere, a height when add_root filed only there, SCAN for
-    anything else (two heights, a meld, or a run cut short by a raising
-    comparator, which can leave a digit over the bound).
+    pending says where add_root filed since fix last completed: None for
+    nowhere, one height, or SCAN (two heights, a meld, or a fix cut short
+    by a raising comparator, which can leave a digit over the bound).
     """
 
     __slots__ = ("roots", "size", "policy", "cached_min", "pending")
@@ -132,9 +130,8 @@ class Forest:
         Trees count in height order, then bucket order.  Only the boundary
         bucket is sliced; every bucket above it moves as it is, and the
         moved size and phi are summed in one pass over the moved heights.
-        Both forests are left without cached_min, and into with this
-        forest's pending.  Cost: a few list operations per height, no
-        comparison; never fixes.
+        Both forests lose cached_min; into takes this forest's pending.
+        Cost: a few list operations per height, no comparison; never fixes.
         """
         self.cached_min = None
         roots = self.roots
@@ -243,20 +240,22 @@ class Forest:
         reaches the threshold.  Two schedules pick the heights; they carry
         alike wherever both apply:
 
-        - The walk, under eager when pending is a height: with every digit
-          <= 2 before the op, only that height can reach 3, and each carry
-          pushes at most one neighbour to 3: the height below through the
-          released pair (a root removal's chain, running down) or else the
-          height above through the new top (an insert's chain, running up).
-          It starts at the pending height and follows the chain: k carries
-          visit k + 1 heights.  With nothing pending it visits none.
+        - The walk, under eager when pending is a height.  A completed fix
+          leaves every digit <= 2, so only that height can have reached 3.
+          After an insert or a root removal each carry pushes at most one
+          neighbour to 3: the height below through the released pair (a
+          removal's chain, running down) or else the height above through
+          the new top (an insert's chain, running up).  The walk follows
+          that chain from the pending height, so k carries visit k + 1
+          heights, and none with nothing pending.  A carry that leaves its
+          own height at 3 or more, or both neighbours (more roots filed at
+          one height), hands the rest to the scan at the height below.
         - The scan, for everything else (meld, the relaxed policy, a forest
-          a raising comparator left over the bound): lowest first, it
-          carries at the lowest height whose digit reaches the threshold,
-          then resumes at the height below, the lowest one the carry can
-          have pushed over.  The threshold is 3; under the relaxed policy
-          it becomes 5, and the scan restarts from height 0, once
-          relaxed_budget carries are done.
+          a raising comparator left over the bound): it carries at the
+          lowest height whose digit reaches the threshold, then resumes at
+          the height below, the lowest one the carry can have pushed over.
+          The threshold is 3; under relaxed it becomes 5, and the scan
+          restarts from height 0, once relaxed_budget carries are done.
 
         Each carry compares its three roots before it unlinks them, so a
         comparator that raises leaves every tree in the forest, and pending
@@ -271,12 +270,11 @@ class Forest:
         its trees are filed.
         """
         start = self.pending
-        self.pending = SCAN
         budget = self.policy.relaxed_budget if self.policy.mode == RELAXED else 0
         walk = not budget and start != SCAN
         if walk and start is None:
-            self.pending = None
             return 0
+        self.pending = SCAN
         roots = self.roots
         raw = less.raw_less
         events = ledger.events if ledger is not None else None
@@ -310,8 +308,7 @@ class Forest:
                         events.append((0, 1))
                     if cached_h == 0:
                         cached_h = self._carry_min(0, top, [], less)
-                    if walk:
-                        h = 1
+                    below = ()
                 else:
                     below = roots[h - 1]
                     below += left, right
@@ -320,7 +317,12 @@ class Forest:
                     if cached_h == h:
                         cached_h = self._carry_min(h, top, [left, right],
                                                    less)
-                    h += 1 if walk and len(below) < 3 else -1
+                if walk and len(bucket) < 3 and (len(below) < 3
+                                                 or len(roots[h + 1]) < 3):
+                    h += 1 if len(below) < 3 else -1
+                else:  # the scan resumes at the height below
+                    walk = False
+                    h = h - 1 if h else 0
                 if done == budget:
                     threshold = 5
                     h = 0

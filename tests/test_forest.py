@@ -131,6 +131,89 @@ class TestFixEager:
         assert digit_runs[0] == digit_runs[1]
 
 
+def replay_fixes(script, scan):
+    """Run script on a fresh eager forest and return, after every fix, the
+    carries, the comparator count and the root keys per height.
+
+    Steps: ("file", [(h, seed), ...]) files a random-shaped perfect tree of
+    height h built from seed; ("remove", i) removes the i-th tree (modulo
+    the tree count) and files its two subtrees one height down, as a root
+    removal does; ("fix",) runs fix, first setting pending to SCAN when
+    scan is set, so the general scan does every carry.  Each fix must
+    leave validate() empty.
+    """
+    f, less, out = Forest(), cmp(), []
+    for step in script:
+        if step[0] == "file":
+            for h, seed in step[1]:
+                keys = [seed * 100 + k % 7 for k in range(2 ** (h + 1) - 1)]
+                tree = build_perfect_heap(keys, random.Random(seed))
+                f.add_root(tree.root, h)
+        elif step[0] == "remove" and f.size:
+            tree = list(f.trees())[step[1] % f.tree_count()]
+            f.remove_root(tree.height, tree.root)
+            if tree.height:
+                f.add_root(tree.root.left, tree.height - 1)
+                f.add_root(tree.root.right, tree.height - 1)
+                tree.root.left.parent = tree.root.right.parent = None
+        elif step[0] == "fix":
+            if scan:
+                f.pending = forest_module.SCAN
+            carries = f.fix(less)
+            assert f.validate() == [], f"step {len(out)}"
+            out.append((carries, less.count,
+                        [[root.key for root in bucket] for bucket in f.roots]))
+    return out
+
+
+class TestCarryWalk:
+    """The walk carries as the scan does, and leaves the digit bound, from
+    any forest whose digits away from the pending height are within it."""
+
+    def assert_walk_matches_scan(self, script):
+        walked = replay_fixes(script, scan=False)
+        assert walked == replay_fixes(script, scan=True)
+        return walked
+
+    def test_ten_singletons_filed_at_once(self):
+        # The first carry leaves bucket 0 at 7, over the bound itself.
+        (carries, _, roots), = self.assert_walk_matches_scan(
+            [("file", [(0, k) for k in range(10)]), ("fix",)])
+        assert carries == 5
+        assert list(map(len, roots)) == [0, 1, 1]
+
+    def test_two_roots_filed_between_full_neighbours(self):
+        # Digits [2, 2, 2], then two more height-1 trees: the first carry
+        # leaves both neighbours at 3 or more.
+        full = [(h, 10 * h + k) for h in range(3) for k in range(2)]
+        out = self.assert_walk_matches_scan(
+            [("file", full), ("fix",), ("file", [(1, 90), (1, 91)]),
+             ("fix",)])
+        assert out[0][0] == 0 and out[1][0] > 1
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_filings_and_removals(self, seed):
+        r = random.Random(seed)
+        script, serial = [], 1000
+        for _ in range(150):
+            kind = r.random()
+            if kind < 0.5:  # one to three trees at one height
+                h = r.randrange(4)
+                trees = [(h, serial + k) for k in range(r.randint(1, 3))]
+            elif kind < 0.6:  # two heights
+                trees = [(r.randrange(4), serial), (r.randrange(4), serial + 1)]
+            else:
+                script.append(("remove", r.randrange(1000)))
+                trees = []
+            serial += 3
+            if trees:
+                script.append(("file", trees))
+            if r.random() < 0.8:
+                script.append(("fix",))
+        script.append(("fix",))
+        self.assert_walk_matches_scan(script)
+
+
 class TestFixRelaxed:
 
     def relaxed(self, budget=1):
