@@ -4,14 +4,13 @@
 Usage, from anywhere inside a checkout:
 
     python3 scripts/ab.py PARENT CHANGE --seeds 1201-1210 --seconds 40 \
-        [--same-counts] [--traced 1211] [--workloads sort-eager,...] \
-        [--out BENCH_n.json]
+        [--same-counts] [--traced 1211] [--out BENCH_n.json]
 
 Both refs are exported with `git archive` into a temporary directory, so
-the repository and its .git stay as they are.  For each seed and workload
-it runs `perfbench/run.py --trace 0` once in each export, the parent first
-on even-numbered pairs and the change first on odd ones; with --traced, one
-pair of --trace 1 runs per workload follows.
+the repository and its .git stay as they are.  For each seed and each
+workload of BENCHMARK.json it runs `perfbench/run.py --trace 0` once in
+each export, the parent first on even-numbered pairs and the change first
+on odd ones; with --traced, one pair of --trace 1 runs per workload follows.
 
 The output has BENCH_10.json's summary per workload (medians, quartiles by
 statistics.quantiles(..., method="inclusive"), change_over_parent, better
@@ -184,16 +183,13 @@ def main(argv=None):
                         help="fail when comparisons_per_op differs in a pair")
     parser.add_argument("--traced", type=int, metavar="SEED",
                         help="add one traced pair per workload on SEED")
-    parser.add_argument("--workloads", type=lambda s: s.split(","),
-                        help="comma-separated; default every workload of "
-                             "BENCHMARK.json")
     parser.add_argument("--out", help="write the JSON here, not to stdout")
     args = parser.parse_args(argv)
 
     top = git("rev-parse", "--show-toplevel")
     with open(os.path.join(top, "BENCHMARK.json")) as fh:
         bench = json.load(fh)
-    workloads = args.workloads or [w["name"] for w in bench["workloads"]]
+    workloads = [w["name"] for w in bench["workloads"]]
     commits = {side: git("rev-parse", "--verify", f"{ref}^{{commit}}")
                for side, ref in zip(SIDES, (args.parent, args.change))}
     records = {side: {} for side in SIDES}
