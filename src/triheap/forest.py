@@ -240,16 +240,15 @@ class Forest:
         reaches the threshold.  Two schedules pick the heights; they carry
         alike wherever both apply:
 
-        - The walk, under eager when pending is a height.  A completed fix
-          leaves every digit <= 2, so only that height can have reached 3.
-          After an insert or a root removal each carry pushes at most one
-          neighbour to 3: the height below through the released pair (a
-          removal's chain, running down) or else the height above through
-          the new top (an insert's chain, running up).  The walk follows
-          that chain from the pending height, so k carries visit k + 1
-          heights, and none with nothing pending.  A carry that leaves its
-          own height at 3 or more, or both neighbours (more roots filed at
-          one height), hands the rest to the scan at the height below.
+        - The walk, under eager when pending is a height holding what an
+          insert or a root removal leaves there: at most 3 trees at height
+          0, or at most 4 with at most 1 one height up.  A completed fix
+          leaves every digit <= 2, so each carry pushes one height at most
+          to 3: the one below through the released pair (a removal's chain,
+          running down) or else the one above through the new top (an
+          insert's chain, running up).  The walk follows that chain from
+          the pending height, so k carries visit k + 1 heights, and none
+          with nothing pending.  Other filings (ten singletons) are scanned.
         - The scan, for everything else (meld, the relaxed policy, a forest
           a raising comparator left over the bound): it carries at the
           lowest height whose digit reaches the threshold, then resumes at
@@ -283,8 +282,12 @@ class Forest:
         threshold = 3
         done = 0
         singletons = 0
-        h = start if walk else 0
         n = len(roots)
+        if walk and start < n:
+            d = len(roots[start])
+            walk = d <= 3 and not start or d <= 4 and (
+                start + 1 == n or len(roots[start + 1]) < 2)
+        h = start if walk else 0
         try:
             while h < n:
                 bucket = roots[h]
@@ -308,7 +311,8 @@ class Forest:
                         events.append((0, 1))
                     if cached_h == 0:
                         cached_h = self._carry_min(0, top, [], less)
-                    below = ()
+                    if walk:
+                        h = 1
                 else:
                     below = roots[h - 1]
                     below += left, right
@@ -317,12 +321,7 @@ class Forest:
                     if cached_h == h:
                         cached_h = self._carry_min(h, top, [left, right],
                                                    less)
-                if walk and len(bucket) < 3 and (len(below) < 3
-                                                 or len(roots[h + 1]) < 3):
-                    h += 1 if len(below) < 3 else -1
-                else:  # the scan resumes at the height below
-                    walk = False
-                    h = h - 1 if h else 0
+                    h += 1 if walk and len(below) < 3 else -1
                 if done == budget:
                     threshold = 5
                     h = 0
