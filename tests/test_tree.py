@@ -298,8 +298,9 @@ def _at_depth(t, depth):
     return node
 
 
-def _count_message(count):
-    return f"node count {count}, expected 15 for height 3"
+def _count_message(t, count):
+    return (f"node count {count}, expected {perfect_size(t.height)} "
+            f"for height {t.height}")
 
 
 def _root_has_parent(t, node, depth):
@@ -307,10 +308,15 @@ def _root_has_parent(t, node, depth):
     return [f"root {node.key!r} has a parent"]
 
 
+def _below(t, depth):
+    """Size of a subtree rooted one level below depth."""
+    return perfect_size(t.height - 1 - depth)
+
+
 def _one_child(t, node, depth):
     node.right = None
     return [f"node {node.key!r} has exactly one child",
-            _count_message(15 - perfect_size(2 - depth))]
+            _count_message(t, perfect_size(t.height) - _below(t, depth))]
 
 
 def _no_handle(t, node, depth):
@@ -325,8 +331,8 @@ def _handle_elsewhere(t, node, depth):
 
 def _leaf_at_wrong_depth(t, node, depth):
     node.left = node.right = None
-    return [f"leaf {node.key!r} at depth {depth}, expected 3",
-            _count_message(15 - 2 * perfect_size(2 - depth))]
+    return [f"leaf {node.key!r} at depth {depth}, expected {t.height}",
+            _count_message(t, perfect_size(t.height) - 2 * _below(t, depth))]
 
 
 def _child_does_not_link_back(t, node, depth):
@@ -347,12 +353,13 @@ def _child_below_parent(t, node, depth):
 
 
 def _node_count(t, node, depth):
-    # Fifteen nodes whose tree claims height 2: only the count and the
-    # depth of the leaves can tell.
-    t.height = 2
-    return [f"leaf {leaf.key!r} at depth 3, expected 2"
+    # A perfect tree whose view claims one height less: only the count and
+    # the depth of the leaves can tell.
+    size = perfect_size(t.height)
+    t.height -= 1
+    return [f"leaf {leaf.key!r} at depth {t.height + 1}, expected {t.height}"
             for leaf in t.nodes() if leaf.left is None] + [
-        "node count 15, expected 7 for height 2"]
+        _count_message(t, size)]
 
 
 def _sibling_alias(t, node, depth):
@@ -360,11 +367,12 @@ def _sibling_alias(t, node, depth):
     # the identity of the two children tells.  The right subtree is lost.
     node.right = node.left
     return [f"node {node.key!r} has child {node.left.key!r} on both sides",
-            _count_message(15 - perfect_size(2 - depth))]
+            _count_message(t, perfect_size(t.height) - _below(t, depth))]
 
 
-def _two_children_at_leaf_depth(t, node, depth):
-    for key in (100, 101):
+def _children_at_leaf_depth(t, node, keys):
+    """Hang fresh leaves with these keys under node, left first."""
+    for key in keys:
         child = Node(key)
         Handle(child)
         child.parent = node
@@ -372,8 +380,18 @@ def _two_children_at_leaf_depth(t, node, depth):
             node.left = child
         else:
             node.right = child
-    return ["leaf 100 at depth 4, expected 3",
-            "leaf 101 at depth 4, expected 3", _count_message(17)]
+    return [f"leaf {key} at depth {t.height + 1}, expected {t.height}"
+            for key in keys] + [
+        _count_message(t, perfect_size(t.height) + len(keys))]
+
+
+def _two_children_at_leaf_depth(t, node, depth):
+    return _children_at_leaf_depth(t, node, (100, 101))
+
+
+def _one_child_at_leaf_depth(t, node, depth):
+    return [f"node {node.key!r} has exactly one child",
+            *_children_at_leaf_depth(t, node, (100,))]
 
 
 @pytest.mark.parametrize("plant, depth", [
@@ -397,6 +415,39 @@ def test_every_diagnostic_is_reported(plant, depth, rng):
     """One planted corruption of a height-3 heap yields exactly its
     messages, wherever in the tree it sits."""
     t = build_perfect_heap(list(range(15)), rng)
+    assert validate_tree(t) == []
+    expected = plant(t, _at_depth(t, depth), depth)
+    assert sorted(validate_tree(t)) == sorted(expected)
+
+
+# Every plant with every depth it applies to, at heights 1-4, and the
+# height-0 cases: the corruptions at and next to each level boundary.
+AT_EVERY_HEIGHT = [
+    (plant, height, depth)
+    for height in range(5)
+    for plant, depths in [
+        (_root_has_parent, [0]),
+        (_no_handle, range(height + 1)),
+        (_handle_elsewhere, range(height + 1)),
+        (_one_child_at_leaf_depth, [height]),
+        (_two_children_at_leaf_depth, [height]),
+        (_one_child, range(height)),
+        (_leaf_at_wrong_depth, range(height)),
+        (_parent_above_children, range(height)),
+        (_sibling_alias, range(height)),
+        (_node_count, [0] if height else []),
+        (_child_does_not_link_back, range(1, height + 1)),
+        (_child_below_parent, range(1, height + 1)),
+    ]
+    for depth in depths]
+
+
+@pytest.mark.parametrize("plant, height, depth", AT_EVERY_HEIGHT)
+def test_every_diagnostic_is_reported_at_every_height(plant, height, depth,
+                                                      rng):
+    """The same, on heaps of heights 0-4, with messages built from the
+    height."""
+    t = build_perfect_heap(list(range(perfect_size(height))), rng)
     assert validate_tree(t) == []
     expected = plant(t, _at_depth(t, depth), depth)
     assert sorted(validate_tree(t)) == sorted(expected)
