@@ -370,18 +370,19 @@ class Forest:
 
     def validate(self, less=operator.lt, full=True):
         """Diagnostics for buckets, doubly filed roots, cached_min (against
-        a fresh scan on a counter of its own) and, if full, trees."""
+        a fresh scan on a counter of its own) and, if full, trees, one
+        validate_tree call each."""
         problems = []
         if self.roots and not self.roots[-1]:
             problems.append(
                 f"empty bucket kept at height {len(self.roots) - 1}")
         total = 0
         filed = set()
+        bound = self.policy.digit_bound
         for h, bucket in enumerate(self.roots):
-            if len(bucket) > self.policy.digit_bound:
-                problems.append(
-                    f"digit {len(bucket)} at height {h} exceeds bound "
-                    f"{self.policy.digit_bound}")
+            if len(bucket) > bound:
+                problems.append(f"digit {len(bucket)} at height {h} exceeds "
+                                f"bound {bound}")
             total += len(bucket) * ((1 << (h + 1)) - 1)
             for root in bucket:
                 if root in filed:
@@ -397,6 +398,7 @@ class Forest:
             problems.append(f"cached minimum {root.key!r} at height {h} "
                             f"is not scan_min's choice")
         if full:
-            for tree in self.trees():
-                problems.extend(validate_tree(tree, less))
+            for h, bucket in enumerate(self.roots):
+                for root in bucket:
+                    problems.extend(validate_tree(PerfectTree(root, h), less))
         return problems

@@ -294,8 +294,9 @@ class Queue:
     def validate(self, full=True):
         """Diagnostics over forest structure and ledger agreement.
 
-        full=True walks every tree (perfectness, heap order, handles);
-        full=False checks only the cheap bucket/size/digit/ledger facts.
+        full=True walks every tree (perfectness, heap order, handles), a
+        sound one once, in validate_tree's fast pass; full=False checks
+        only the cheap bucket/size/digit/ledger facts.
         Both check the cached minimum against a fresh scan on a separate
         counter (in Forest.validate), and the comparator's count against
         the ledger's.

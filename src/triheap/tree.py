@@ -227,50 +227,76 @@ def validate_tree(t, less=operator.lt):
     symmetry, and handle back-reference consistency.  Reports and never
     raises; linear time, meant for tests and debug auditing only.
 
-    The walk goes level by level.  Each node gets one fused test: above
-    depth h, two distinct children, its handle linking back, both children
-    linking back and neither child less than it; at depth h, no children
-    and its handle linking back.  Messages are built only for a node that
-    fails its test, and its children still join the next level (an aliased
-    child once), so a malformed tree is reported in full, in level order.
-    With the link checks, distinct siblings mean no node is reached twice.
+    A sound tree is walked once, by the fast pass (_is_sound).  Only a
+    tree that fails it is walked again (_report_tree) for its messages,
+    level by level, every node's children joining the next level (an
+    aliased child once), so a malformed tree is reported in full.
     """
-    problems = []
     root = t.root
     if root is None:
         return ["tree has no root"]
+    try:
+        if _is_sound(root, t.height, less):
+            return []
+    except AttributeError:  # one less raised is raised again below
+        pass
+    return _report_tree(root, t.height, less)
+
+
+def _is_sound(root, height, less):
+    """validate_tree's fast pass: True when the tree has no fault.
+
+    It returns False at the first failure.  The root has no parent and its
+    handle links back; each node above depth h checks both its children
+    (present, distinct, linking back to it, handles linking back, neither
+    less than it), and at depth h - 1 also that they have no children.
+    Leaves are not visited on their own, and the node count is implied:
+    distinct siblings that link back to their one parent are reached once.
+    A None link or handle raises AttributeError where it is first read.
+    """
+    if root.parent is not None or root.handle.node is not root:
+        return False
+    if not height:
+        return root.left is None and root.right is None
+    level = [root]
+    while True:
+        height -= 1
+        below = []
+        for node in level:
+            left = node.left
+            right = node.right
+            if (left is right or left.parent is not node
+                    or right.parent is not node
+                    or left.handle.node is not left
+                    or right.handle.node is not right
+                    or less(left.key, node.key)
+                    or less(right.key, node.key)):
+                return False
+            if height:
+                below.append(left)
+                below.append(right)
+            elif not (left.left is left.right is right.left is right.right
+                      is None):
+                return False
+        if not height:
+            return True
+        level = below
+
+
+def _report_tree(root, height, less):
+    """validate_tree's reporting walk, for a tree that failed the fast
+    pass: _report_node on every node it reaches, level by level."""
+    problems = []
     if root.parent is not None:
         problems.append(f"root {root.key!r} has a parent")
-    height = t.height
     count = 0
     depth = 0
     level = [root]
     while level:
         count += len(level)
         below = []
-        append = below.append
-        if depth < height:
-            for node in level:
-                left = node.left
-                right = node.right
-                handle = node.handle
-                if (left is not None and right is not None
-                        and left is not right
-                        and handle is not None and handle.node is node
-                        and left.parent is node and right.parent is node
-                        and not less(left.key, node.key)
-                        and not less(right.key, node.key)):
-                    append(left)
-                    append(right)
-                else:
-                    _report_node(node, depth, height, less, problems, append)
-        else:
-            for node in level:
-                handle = node.handle
-                if not (depth == height and node.left is None
-                        and node.right is None and handle is not None
-                        and handle.node is node):
-                    _report_node(node, depth, height, less, problems, append)
+        for node in level:
+            _report_node(node, depth, height, less, problems, below.append)
         level = below
         depth += 1
     expected = (1 << (height + 1)) - 1
@@ -281,7 +307,8 @@ def validate_tree(t, less=operator.lt):
 
 
 def _report_node(node, depth, height, less, problems, append):
-    """Messages for one node that failed validate_tree's fused test.
+    """validate_tree's messages for one node of a tree that failed the
+    fast pass; none for a node without a fault of its own.
 
     Also hands each present child to append (an aliased child once), so
     the walk goes on below it.

@@ -1,10 +1,12 @@
 """Tree-core: singletons, rearrangement, root detaching, sift-up, validate."""
 
+import operator
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
+from triheap import Queue, tree as tree_module
 from triheap.tree import (CountingComparator, Handle, Node, PerfectTree,
                           detach_root, rearrange_roots, sift_to_root, sift_up,
                           validate_tree)
@@ -370,28 +372,30 @@ def _sibling_alias(t, node, depth):
             _count_message(t, perfect_size(t.height) - _below(t, depth))]
 
 
-def _children_at_leaf_depth(t, node, keys):
-    """Hang fresh leaves with these keys under node, left first."""
-    for key in keys:
+def _hang_leaves(t, node, sides):
+    """Hang a fresh leaf under node on each of these sides, keyed from 100."""
+    for key, side in enumerate(sides, 100):
         child = Node(key)
         Handle(child)
         child.parent = node
-        if node.left is None:
-            node.left = child
-        else:
-            node.right = child
+        setattr(node, side, child)
     return [f"leaf {key} at depth {t.height + 1}, expected {t.height}"
-            for key in keys] + [
-        _count_message(t, perfect_size(t.height) + len(keys))]
+            for key in range(100, 100 + len(sides))] + [
+        _count_message(t, perfect_size(t.height) + len(sides))]
 
 
 def _two_children_at_leaf_depth(t, node, depth):
-    return _children_at_leaf_depth(t, node, (100, 101))
+    return _hang_leaves(t, node, ("left", "right"))
 
 
-def _one_child_at_leaf_depth(t, node, depth):
+def _left_child_at_leaf_depth(t, node, depth):
     return [f"node {node.key!r} has exactly one child",
-            *_children_at_leaf_depth(t, node, (100,))]
+            *_hang_leaves(t, node, ("left",))]
+
+
+def _right_child_at_leaf_depth(t, node, depth):
+    return [f"node {node.key!r} has exactly one child",
+            *_hang_leaves(t, node, ("right",))]
 
 
 @pytest.mark.parametrize("plant, depth", [
@@ -420,16 +424,72 @@ def test_every_diagnostic_is_reported(plant, depth, rng):
     assert sorted(validate_tree(t)) == sorted(expected)
 
 
-# Every plant with every depth it applies to, at heights 1-4, and the
-# height-0 cases: the corruptions at and next to each level boundary.
-AT_EVERY_HEIGHT = [
-    (plant, height, depth)
-    for height in range(5)
-    for plant, depths in [
+def _walk_report(t):
+    """The reporting walk alone, and whether the fast pass finds t sound."""
+    try:
+        sound = tree_module._is_sound(t.root, t.height, operator.lt)
+    except AttributeError:
+        sound = False
+    return sound, tree_module._report_tree(t.root, t.height, operator.lt)
+
+
+@given(height=st.integers(0, 5), seed=st.integers(0, 2 ** 20),
+       picks=st.lists(st.tuples(st.integers(0, 99), st.integers(0, 31)),
+                      max_size=2))
+def test_fast_pass_agrees_with_the_reporting_walk(height, seed, picks):
+    """On perfect heaps of heights 0-5 with up to two planted corruptions,
+    each at a node reached by the bits of a path, the fast pass finds the
+    tree sound exactly when the reporting walk finds nothing, and
+    validate_tree gives the walk's messages."""
+    rng = random.Random(seed)
+    t = build_perfect_heap(list(range(perfect_size(height))), rng)
+    for pick, path in picks:
+        plants = _plants_at(t.height)
+        plant, depth = plants[pick % len(plants)]
+        node = t.root
+        try:
+            for step in range(depth):
+                node = node.right if path >> step & 1 else node.left
+            plant(t, node, depth)
+        except AttributeError:
+            pass  # an earlier corruption cut the path short
+    sound, report = _walk_report(t)
+    assert sound == (report == [])
+    assert validate_tree(t) == report
+
+
+def test_a_sound_tree_is_walked_once(monkeypatch, rng):
+    """A sound tree never reaches the reporting walk, and its fast pass
+    compares each edge once."""
+    def reported(*args):
+        raise AssertionError("reporting walk on a sound tree")
+
+    monkeypatch.setattr(tree_module, "_report_node", reported)
+    for height in range(6):
+        t = build_perfect_heap(rng.sample(range(1000), perfect_size(height)),
+                               rng)
+        less = cmp()
+        assert validate_tree(t, less) == []
+        assert less.count == perfect_size(height) - 1
+    q = Queue()
+    for key in rng.sample(range(10 ** 6), 600):
+        q.insert(key)
+    for _ in range(50):
+        q.delete_min()
+    assert q.forest.tree_count() > 1 and q.validate() == []
+    t.root.key = 10 ** 6
+    with pytest.raises(AssertionError, match="reporting walk"):
+        validate_tree(t)
+
+
+def _plants_at(height):
+    """Every plant with every depth it applies to in a height-h heap."""
+    return [(plant, depth) for plant, depths in [
         (_root_has_parent, [0]),
         (_no_handle, range(height + 1)),
         (_handle_elsewhere, range(height + 1)),
-        (_one_child_at_leaf_depth, [height]),
+        (_left_child_at_leaf_depth, [height]),
+        (_right_child_at_leaf_depth, [height]),
         (_two_children_at_leaf_depth, [height]),
         (_one_child, range(height)),
         (_leaf_at_wrong_depth, range(height)),
@@ -438,8 +498,12 @@ AT_EVERY_HEIGHT = [
         (_node_count, [0] if height else []),
         (_child_does_not_link_back, range(1, height + 1)),
         (_child_below_parent, range(1, height + 1)),
-    ]
-    for depth in depths]
+    ] for depth in depths]
+
+
+# The corruptions at and next to each level boundary, at heights 0-4.
+AT_EVERY_HEIGHT = [(plant, height, depth) for height in range(5)
+                   for plant, depth in _plants_at(height)]
 
 
 @pytest.mark.parametrize("plant, height, depth", AT_EVERY_HEIGHT)
