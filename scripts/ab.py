@@ -18,7 +18,8 @@ and equal pairs, worse_by against the BENCHMARK.json bound), the per-layer
 metrics of the traced pair, each run's result without its per-round
 arrays, and the verdict.  Exit status 1 when any op failed or a run gave
 no result, when a median is worse than its bound, or, with --same-counts,
-when comparisons_per_op differs in any pair; else 0.
+when comparisons_per_op differs in any pair; else 0.  SIGTERM stops it
+like an error, so the exports are removed and a running child is killed.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import io
 import json
 import os
 import shlex
+import signal
 import statistics
 import subprocess
 import sys
@@ -247,4 +249,7 @@ def main(argv=None):
 
 
 if __name__ == "__main__":
+    # As SystemExit, SIGTERM unwinds through subprocess.run and
+    # TemporaryDirectory, which kill the child and remove the exports.
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     sys.exit(main())

@@ -1,11 +1,17 @@
-"""scripts/ab.py: the A/B summary, its verdict, and one real short run."""
+"""scripts/ab.py: the A/B summary, its verdict, and real short runs."""
 
+import contextlib
 import importlib.util
 import json
+import os
 import shutil
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 spec = importlib.util.spec_from_file_location("ab", ROOT / "scripts" / "ab.py")
@@ -72,13 +78,12 @@ def test_verdict_fails_on_a_missing_run():
         "sort-eager: 1 parent runs gave no result"]
 
 
-def test_same_commit_against_itself(tmp_path):
-    """A real run of one commit against itself, in a repository of its own
-    holding this tree's src/ and perfbench/ and a BENCHMARK.json trimmed to
-    sort-eager: every run gives a result, no op fails, and the counts are
-    equal, the traced carries included.  Wall-time medians of one-round runs can differ by
-    more than their bounds on a shared host, so the wall-time bound is
-    left to test_verdict_fails_on_a_median_worse_than_its_bound."""
+GIT = ["git", "-c", "user.name=ab", "-c", "user.email=ab@localhost"]
+
+
+def bench_repo(tmp_path):
+    """A repository of its own holding this tree's src/ and perfbench/ and
+    a BENCHMARK.json trimmed to sort-eager, with nothing committed yet."""
     repo = tmp_path / "repo"
     for part in ("src", "perfbench"):
         shutil.copytree(ROOT / part, repo / part,
@@ -87,15 +92,33 @@ def test_same_commit_against_itself(tmp_path):
     bench["workloads"] = [w for w in bench["workloads"]
                           if w["name"] == "sort-eager"]
     (repo / "BENCHMARK.json").write_text(json.dumps(bench))
-    git = ["git", "-c", "user.name=ab", "-c", "user.email=ab@localhost"]
-    for args in (["init", "-q"], ["add", "-A"], ["commit", "-qm", "tree"]):
-        subprocess.run(git + args, cwd=repo, check=True)
+    subprocess.run(GIT + ["init", "-q"], cwd=repo, check=True)
+    return repo
+
+
+def commit_all(repo, message):
+    for args in (["add", "-A"], ["commit", "-qm", message]):
+        subprocess.run(GIT + args, cwd=repo, check=True)
+
+
+def run_ab(repo, *args):
+    return subprocess.run([sys.executable, ROOT / "scripts" / "ab.py", *args],
+                          cwd=repo, capture_output=True, text=True,
+                          timeout=120)
+
+
+def test_same_commit_against_itself(tmp_path):
+    """A real run of one commit against itself, in a repository of its own
+    holding this tree's src/ and perfbench/ and a BENCHMARK.json trimmed to
+    sort-eager: every run gives a result, no op fails, and the counts are
+    equal, the traced carries included.  Wall-time medians of one-round runs can differ by
+    more than their bounds on a shared host, so the wall-time bound is
+    left to test_verdict_fails_on_a_median_worse_than_its_bound."""
+    repo = bench_repo(tmp_path)
+    commit_all(repo, "tree")
     out = tmp_path / "ab.json"
-    proc = subprocess.run(
-        [sys.executable, ROOT / "scripts" / "ab.py", "HEAD", "HEAD",
-         "--seeds", "1-2", "--seconds", "0", "--same-counts", "--traced", "3",
-         "--out", out],
-        cwd=repo, capture_output=True, text=True, timeout=120)
+    proc = run_ab(repo, "HEAD", "HEAD", "--seeds", "1-2", "--seconds", "0",
+                  "--same-counts", "--traced", "3", "--out", out)
     doc = json.loads(out.read_text())
     failures = doc["verdict"]["failures"]
     assert proc.returncode == (1 if failures else 0)
@@ -110,3 +133,62 @@ def test_same_commit_against_itself(tmp_path):
         "sort-eager.seed1.trace0", "sort-eager.seed2.trace0",
         "sort-eager.seed3.trace1"}
     assert not (repo / ".git" / "worktrees").exists()
+
+
+def test_planted_extra_comparison_fails_same_counts(tmp_path):
+    """A parent commit whose Queue.insert makes one extra comparison,
+    against this tree: --same-counts fails on comparisons_per_op, which
+    the change lowers by the 10,000 inserts over 20,000 ops."""
+    repo = bench_repo(tmp_path)
+    queue_py = repo / "src" / "triheap" / "queue.py"
+    real = queue_py.read_text()
+    anchor = "        node = Node(key, payload)\n"  # in Queue.insert only
+    assert real.count(anchor) == 1
+    queue_py.write_text(real.replace(
+        anchor, anchor + "        self.comparator(key, key)\n"))
+    commit_all(repo, "planted: one extra comparison per insert")
+    queue_py.write_text(real)
+    commit_all(repo, "tree")
+    out = tmp_path / "ab.json"
+    proc = run_ab(repo, "HEAD~1", "HEAD", "--same-counts", "--seeds", "1-1",
+                  "--seconds", "0", "--out", out)
+    assert proc.returncode == 1
+    doc = json.loads(out.read_text())
+    pair = doc["summary"]["sort-eager"]["comparisons_per_op"]["per_seed"]["1"]
+    assert pair["parent"] - pair["change"] == pytest.approx(0.5)
+    failures = doc["verdict"]["failures"]
+    assert [line for line in failures if "comparisons_per_op" in line] == [
+        f"sort-eager seed 1: comparisons_per_op {pair['parent']} -> "
+        f"{pair['change']}"]
+    assert [line for line in failures if "comparisons_per_op" not in line
+            and not line.split(": ")[1].startswith(WALL_METRICS)] == []
+
+
+def test_sigterm_removes_the_exports_and_stops_the_child(tmp_path):
+    """SIGTERM during a run: ab.py exits, its ab-* exports are gone, and no
+    process of its session is left, the perfbench child included."""
+    repo = bench_repo(tmp_path)
+    commit_all(repo, "tree")
+    tmp = tmp_path / "tmp"
+    tmp.mkdir()
+    log = tmp_path / "stderr"
+    with open(log, "w") as err:
+        proc = subprocess.Popen(
+            [sys.executable, ROOT / "scripts" / "ab.py", "HEAD", "HEAD",
+             "--seeds", "1-1", "--seconds", "60"],
+            cwd=repo, stdout=subprocess.DEVNULL, stderr=err,
+            start_new_session=True, env={**os.environ, "TMPDIR": str(tmp)})
+    try:
+        deadline = time.monotonic() + 60
+        while not (list(tmp.glob("ab-*")) and "# 1/" in log.read_text()):
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.05)
+        time.sleep(0.5)  # the perfbench child is running by now
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=30) == 128 + signal.SIGTERM
+        assert list(tmp.glob("ab-*")) == []
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
