@@ -424,64 +424,6 @@ def test_every_diagnostic_is_reported(plant, depth, rng):
     assert sorted(validate_tree(t)) == sorted(expected)
 
 
-def _walk_report(t):
-    """The reporting walk alone, and whether the fast pass finds t sound."""
-    try:
-        sound = tree_module._is_sound(t.root, t.height, operator.lt)
-    except AttributeError:
-        sound = False
-    return sound, tree_module._report_tree(t.root, t.height, operator.lt)
-
-
-@given(height=st.integers(0, 5), seed=st.integers(0, 2 ** 20),
-       picks=st.lists(st.tuples(st.integers(0, 99), st.integers(0, 31)),
-                      max_size=2))
-def test_fast_pass_agrees_with_the_reporting_walk(height, seed, picks):
-    """On perfect heaps of heights 0-5 with up to two planted corruptions,
-    each at a node reached by the bits of a path, the fast pass finds the
-    tree sound exactly when the reporting walk finds nothing, and
-    validate_tree gives the walk's messages."""
-    rng = random.Random(seed)
-    t = build_perfect_heap(list(range(perfect_size(height))), rng)
-    for pick, path in picks:
-        plants = _plants_at(t.height)
-        plant, depth = plants[pick % len(plants)]
-        node = t.root
-        try:
-            for step in range(depth):
-                node = node.right if path >> step & 1 else node.left
-            plant(t, node, depth)
-        except AttributeError:
-            pass  # an earlier corruption cut the path short
-    sound, report = _walk_report(t)
-    assert sound == (report == [])
-    assert validate_tree(t) == report
-
-
-def test_a_sound_tree_is_walked_once(monkeypatch, rng):
-    """A sound tree never reaches the reporting walk, and its fast pass
-    compares each edge once."""
-    def reported(*args):
-        raise AssertionError("reporting walk on a sound tree")
-
-    monkeypatch.setattr(tree_module, "_report_node", reported)
-    for height in range(6):
-        t = build_perfect_heap(rng.sample(range(1000), perfect_size(height)),
-                               rng)
-        less = cmp()
-        assert validate_tree(t, less) == []
-        assert less.count == perfect_size(height) - 1
-    q = Queue()
-    for key in rng.sample(range(10 ** 6), 600):
-        q.insert(key)
-    for _ in range(50):
-        q.delete_min()
-    assert q.forest.tree_count() > 1 and q.validate() == []
-    t.root.key = 10 ** 6
-    with pytest.raises(AssertionError, match="reporting walk"):
-        validate_tree(t)
-
-
 def _plants_at(height):
     """Every plant with every depth it applies to in a height-h heap."""
     return [(plant, depth) for plant, depths in [
@@ -515,6 +457,59 @@ def test_every_diagnostic_is_reported_at_every_height(plant, height, depth,
     assert validate_tree(t) == []
     expected = plant(t, _at_depth(t, depth), depth)
     assert sorted(validate_tree(t)) == sorted(expected)
+
+
+@given(height=st.integers(0, 5), seed=st.integers(0, 2 ** 20),
+       picks=st.lists(st.tuples(st.integers(0, 99), st.integers(0, 31)),
+                      max_size=2))
+def test_fast_pass_agrees_with_the_reporting_walk(height, seed, picks):
+    """On perfect heaps of heights 0-5 with up to two planted corruptions,
+    each at a node reached by the bits of a path, the fast pass finds the
+    tree sound exactly when the reporting walk finds nothing, and
+    validate_tree gives the walk's messages."""
+    rng = random.Random(seed)
+    t = build_perfect_heap(list(range(perfect_size(height))), rng)
+    for pick, path in picks:
+        plants = _plants_at(t.height)
+        plant, depth = plants[pick % len(plants)]
+        node = t.root
+        try:
+            for step in range(depth):
+                node = node.right if path >> step & 1 else node.left
+            plant(t, node, depth)
+        except AttributeError:
+            pass  # an earlier corruption cut the path or the plant's message
+    try:
+        sound = tree_module._is_sound(t.root, t.height, operator.lt)
+    except AttributeError:
+        sound = False
+    report = tree_module._report_tree(t.root, t.height, operator.lt)
+    assert sound == (report == [])
+    assert validate_tree(t) == report
+
+
+def test_a_sound_tree_is_walked_once(monkeypatch, rng):
+    """A sound tree never reaches the reporting walk, and its fast pass
+    compares each edge once."""
+    def reported(*args):
+        raise AssertionError("reporting walk on a sound tree")
+
+    monkeypatch.setattr(tree_module, "_report_node", reported)
+    for height in range(6):
+        t = build_perfect_heap(rng.sample(range(1000), perfect_size(height)),
+                               rng)
+        less = cmp()
+        assert validate_tree(t, less) == []
+        assert less.count == perfect_size(height) - 1
+    q = Queue()
+    for key in rng.sample(range(10 ** 6), 600):
+        q.insert(key)
+    for _ in range(50):
+        q.delete_min()
+    assert q.forest.tree_count() > 1 and q.validate() == []
+    t.root.key = 10 ** 6
+    with pytest.raises(AssertionError, match="reporting walk"):
+        validate_tree(t)
 
 
 def test_randomized_storm_conserves_everything(rng):
