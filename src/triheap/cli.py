@@ -185,15 +185,15 @@ def forest_to_dot(queue):
 
 
 def build_parser():
+    """Every subcommand takes --policy and --relaxed-budget; the other flags
+    go only to the subcommands that read them."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--policy", choices=["eager", "relaxed"],
                         default="eager")
     common.add_argument("--relaxed-budget", type=int, default=1, metavar="K")
-    common.add_argument("--seed", type=int, default=0, metavar="U64")
-    common.add_argument("--audit", choices=["always", "final"],
-                        default="always")
-    common.add_argument("--format", choices=["csv", "table"], default="csv",
-                        dest="fmt")
+    formatted = argparse.ArgumentParser(add_help=False, parents=[common])
+    formatted.add_argument("--format", choices=["csv", "table"],
+                           default="csv", dest="fmt")
 
     parser = argparse.ArgumentParser(
         prog="triheap",
@@ -201,7 +201,7 @@ def build_parser():
                     "trees, with potential-function instrumentation.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("sort", parents=[common],
+    p = sub.add_parser("sort", parents=[formatted],
                        help="heapsort keys from a file or stdin")
     p.add_argument("input", nargs="?", default="-",
                    help="file of whitespace-separated integer keys, - for stdin")
@@ -209,7 +209,7 @@ def build_parser():
                    help="per-op stats destination: - for stderr, none, or a file")
     p.set_defaults(func=cmd_sort)
 
-    p = sub.add_parser("counter", parents=[common],
+    p = sub.add_parser("counter", parents=[formatted],
                        help="simulate the pure number system, no keys")
     p.add_argument("increments", type=int)
     p.set_defaults(func=cmd_counter)
@@ -217,11 +217,13 @@ def build_parser():
     p = sub.add_parser("verify", parents=[common],
                        help="replay a script against the oracle with auditing")
     p.add_argument("script", help="workload script path, - for stdin")
+    p.add_argument("--audit", choices=["always", "final"], default="always")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("bench", parents=[common],
+    p = sub.add_parser("bench", parents=[formatted],
                        help="insert/delete and mixed workloads over sizes")
     p.add_argument("sizes", type=int, nargs="+")
+    p.add_argument("--seed", type=int, default=0, metavar="U64")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("dot", parents=[common],

@@ -10,10 +10,6 @@ Internally a bucket holds bare root nodes; the height lives once in the
 list index instead of once per tree, which keeps the carry path free of
 wrapper churn.  PerfectTree views are materialized where callers want whole
 trees (iteration, validation).
-
-The forest also keeps the minimum root that the last scan found, in the
-style of a Fibonacci heap's min pointer, for as long as a carry or a root
-removal leaves it scan_min's choice; see Forest.
 """
 
 from __future__ import annotations
@@ -22,8 +18,7 @@ import operator
 from dataclasses import dataclass
 
 from .errors import ContractViolation, EmptyQueueError
-from .tree import (CountingComparator, PerfectTree, rearrange_roots,
-                   validate_tree)
+from .tree import PerfectTree, rearrange_roots, validate_tree
 
 EAGER = "eager"
 RELAXED = "relaxed"
@@ -64,34 +59,17 @@ class Forest:
     deterministic, so identical operation sequences produce identical
     forests.
 
-    cached_min is None or the (height, root) that scan_min would return
-    right now, ties included (lowest height, then earliest bucket
-    position).  Nothing here creates it; the methods that move roots keep
-    it or drop it:
-
-    - remove_root drops it only when it takes the cached root.
-    - fix keeps it through carries that do not take the cached root.
-      When a carry takes the cached root itself, that root becomes the
-      carry's top (the roots ahead of it in its bucket are strictly
-      larger) and stays cached after one strict comparison with each root
-      that could now tie it: the rest of its old bucket, its two released
-      children and the roots ahead of it one height up.
-    - split and meld drop it on both sides.
-    - add_root leaves it as it is: a caller that files a root which could
-      beat it settles that first.
-
     pending says where add_root filed since fix last completed: None for
     nowhere, one height, or SCAN (two heights, a meld, or a fix cut short
     by a raising comparator, which can leave a digit over the bound).
     """
 
-    __slots__ = ("roots", "size", "policy", "cached_min", "pending")
+    __slots__ = ("roots", "size", "policy", "pending")
 
     def __init__(self, policy=None):
         self.roots = []
         self.size = 0
         self.policy = policy if policy is not None else FixPolicy()
-        self.cached_min = None
         self.pending = None
 
     @property
@@ -100,8 +78,8 @@ class Forest:
         return {h: bucket for h, bucket in enumerate(self.roots) if bucket}
 
     def add_root(self, root, height):
-        """File a root node under its height.  Never triggers fixing, and
-        leaves cached_min as it is; notes the height in pending."""
+        """File a root node under its height.  Never triggers fixing; notes
+        the height in pending."""
         roots = self.roots
         while len(roots) <= height:
             roots.append([])
@@ -111,17 +89,12 @@ class Forest:
             self.pending = height if self.pending is None else SCAN
 
     def remove_root(self, height, root):
-        """Take root, filed at height, out of the forest (by identity).
-
-        cached_min is dropped if it was this root and stays otherwise.
-        """
+        """Take root, filed at height, out of the forest (by identity)."""
         roots = self.roots
         roots[height].remove(root)
         while roots and not roots[-1]:
             roots.pop()
         self.size -= (1 << (height + 1)) - 1
-        if self.cached_min is not None and self.cached_min[1] is root:
-            self.cached_min = None
 
     def split(self, count, into):
         """Keep the first count trees and move the rest into into, an
@@ -130,10 +103,9 @@ class Forest:
         Trees count in height order, then bucket order.  Only the boundary
         bucket is sliced; every bucket above it moves as it is, and the
         moved size and phi are summed in one pass over the moved heights.
-        Both forests lose cached_min; into takes this forest's pending.
-        Cost: a few list operations per height, no comparison; never fixes.
+        into takes this forest's pending.  Cost: a few list operations per
+        height, no comparison; never fixes.
         """
-        self.cached_min = None
         roots = self.roots
         for h, bucket in enumerate(roots):
             if count < len(bucket):
@@ -165,9 +137,8 @@ class Forest:
         Other's list at each height goes onto the end of this forest's list
         at that height; its lists above this forest's top are adopted as
         they are, so the trees land exactly where filing each of them with
-        add_root would put them.  Both forests are left without
-        cached_min.  Cost: one list operation per height, no comparison;
-        never fixes.
+        add_root would put them.  Cost: one list operation per height, no
+        comparison; never fixes.
         """
         roots = self.roots
         theirs = other.roots
@@ -175,7 +146,6 @@ class Forest:
             bucket += more
         roots += theirs[len(roots):]
         self.size += other.size
-        self.cached_min = other.cached_min = None
         self.pending = SCAN
         other.pending = None
         other.roots = []
@@ -263,10 +233,6 @@ class Forest:
         per call with the carry count and their net height-sum change (-1
         per carry at height h >= 1, +1 per carry of three singletons), and
         gets one (h, delta) event per carry when it keeps events.
-
-        cached_min costs one integer comparison per carry, against the
-        cached height; a carry at that height is handed to _carry_min once
-        its trees are filed.
         """
         start = self.pending
         budget = self.policy.relaxed_budget if self.policy.mode == RELAXED else 0
@@ -277,8 +243,6 @@ class Forest:
         roots = self.roots
         raw = less.raw_less
         events = ledger.events if ledger is not None else None
-        cached = self.cached_min
-        cached_h = -1 if cached is None else cached[0]
         threshold = 3
         done = 0
         singletons = 0
@@ -309,8 +273,6 @@ class Forest:
                     singletons += 1
                     if events is not None:
                         events.append((0, 1))
-                    if cached_h == 0:
-                        cached_h = self._carry_min(0, top, [], less)
                     if walk:
                         h = 1
                 else:
@@ -318,9 +280,6 @@ class Forest:
                     below += left, right
                     if events is not None:
                         events.append((h, -1))
-                    if cached_h == h:
-                        cached_h = self._carry_min(h, top, [left, right],
-                                                   less)
                     h += 1 if walk and len(below) < 3 else -1
                 if done == budget:
                     threshold = 5
@@ -333,45 +292,9 @@ class Forest:
         self.pending = None
         return done
 
-    def _carry_min(self, h, top, released, less):
-        """Keep cached_min exact after a carry at its height h, with top and
-        the released children already filed; returns its new height, or -1
-        once it is dropped.
-
-        If the cached root is still a root other than top, the carry took
-        three roots ahead of it and nothing changes: those roots were
-        strictly larger, so top and the children they shed are too.
-        Otherwise the cached root was one of the three, and it is top,
-        since the roots ahead of it were strictly larger.  It now sits last
-        at h + 1, and the roots that could tie it there are the rest of its
-        old bucket and its released children (both now below it) and the
-        roots ahead of it at h + 1; it stays only if it is strictly less
-        than each.  The checks are charged on less once they return, the
-        first one that fails included; that one, or one that raises, leaves
-        the cache empty.
-        """
-        best = self.cached_min[1]
-        if best is not top and best.parent is None:
-            return h
-        self.cached_min = None
-        if top is not best:  # only under an inconsistent comparator
-            return -1
-        raw = less.raw_less
-        key = best.key
-        ahead = self.roots[h + 1]
-        rivals = self.roots[h] + released + ahead[:-1]
-        for checked, rival in enumerate(rivals, 1):
-            if not raw(key, rival.key):
-                less.count += checked
-                return -1
-        less.count += len(rivals)
-        self.cached_min = (h + 1, best)
-        return h + 1
-
     def validate(self, less=operator.lt, full=True):
-        """Diagnostics for buckets, doubly filed roots, cached_min (against
-        a fresh scan on a counter of its own) and, if full, trees, one
-        validate_tree call each."""
+        """Diagnostics for buckets, doubly filed roots and, if full, trees,
+        one validate_tree call each."""
         problems = []
         if self.roots and not self.roots[-1]:
             problems.append(
@@ -390,13 +313,6 @@ class Forest:
                 filed.add(root)
         if total != self.size:
             problems.append(f"size {self.size}, but trees hold {total} elements")
-        cached = self.cached_min
-        if cached is not None and (
-                not (total and self.size)
-                or cached != self.scan_min(CountingComparator(less))):
-            h, root = cached
-            problems.append(f"cached minimum {root.key!r} at height {h} "
-                            f"is not scan_min's choice")
         if full:
             for h, bucket in enumerate(self.roots):
                 for root in bucket:

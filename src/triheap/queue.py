@@ -22,24 +22,13 @@ class Queue:
     """Min-priority queue with insert, find/delete-min, decrease-key, delete,
     meld and split, all addressed through stable element handles.
 
-    find_min scans the roots only when the forest holds no cached minimum
-    (Forest.cached_min, the (height, root) Forest.scan_min would pick,
-    ties included) and caches what it found; delete_min removes the cached
-    root when there is one, with no scan.  Upkeep per op, carries included
-    (a carry of the cached root costs a few comparisons at most, see
-    Forest):
-
-    - insert: 1 comparison, made before the new root is filed.  An insert
-      never creates a cache, so a run of inserts pays nothing for it.
-    - decrease_key: kept when the sift stopped below a root or reached the
-      cached root; dropped when it reached another root.
-    - delete: kept, unless the element is in the cached root's tree or its
-      tree sat at the cached height after the cached root: dropped.
-    - split and meld: dropped on both sides.
-    - delete_min: dropped.  A tie with the cached root in a carry drops it
-      too.
-
-    None of the drops costs a comparison.
+    cached_min is None or the (height, root) that Forest.scan_min would
+    return right now, ties included.  It serves a read pair: find_min scans
+    the roots only when nothing is cached and caches what it found, and
+    delete_min removes the cached root, when there is one, with no scan.
+    decrease_key keeps it unless its sift reached a root other than the
+    cached one.  Every other mutation drops it: insert, delete, delete_min,
+    split, and meld on both queues.  No drop costs a comparison.
 
     Every op that opens a ledger record closes it, also when the comparator
     raises, with the carries (counted on the ledger since the record
@@ -50,7 +39,8 @@ class Queue:
     isolated and safe to use from parallel threads.
     """
 
-    __slots__ = ("policy", "comparator", "forest", "ledger", "alive")
+    __slots__ = ("policy", "comparator", "forest", "ledger", "alive",
+                 "cached_min")
 
     def __init__(self, policy=None, less=operator.lt, keep_records=False,
                  keep_events=False):
@@ -59,6 +49,7 @@ class Queue:
         self.forest = Forest(self.policy)
         self.ledger = PotentialLedger(keep_records, keep_events)
         self.alive = True
+        self.cached_min = None
 
     def __len__(self):
         return self.forest.size
@@ -74,7 +65,7 @@ class Queue:
         return node
 
     def _tree_of(self, node):
-        """Locate the tree holding node: returns (height, index, root).
+        """Locate the tree holding node: returns (height, root).
 
         Raises ContractViolation when node belongs to another queue; nothing
         has been compared or moved by then.
@@ -82,8 +73,7 @@ class Queue:
         root = node
         while root.parent is not None:
             root = root.parent
-        h, index = self.forest.find_root(root)
-        return h, index, root
+        return self.forest.find_root(root)[0], root
 
     def _run_fix(self):
         return self.forest.fix(self.comparator, self.ledger)
@@ -105,8 +95,10 @@ class Queue:
         """The one root-removal path, shared by delete_min and delete.
 
         The height-h root's two subtrees rejoin the forest as they are, so
-        phi changes by h - 2 (by 0 for a singleton); then carries run.
+        phi changes by h - 2 (by 0 for a singleton); then carries run.  The
+        cached minimum is dropped.
         """
+        self.cached_min = None
         forest = self.forest
         forest.remove_root(h, root)
         left, right = detach_root(root)
@@ -121,28 +113,15 @@ class Queue:
         """Add an element as a fresh height-0 tree; returns its handle.
 
         The singleton contributes nothing to phi; any carries it triggers are
-        accounted separately by the fix machinery.  A cached minimum is
-        settled against the new key before the root is filed, at one
-        comparison; if that comparison raises, nothing is added.
+        accounted separately by the fix machinery.  The cached minimum is
+        dropped.
         """
         self._require_alive()
-        forest = self.forest
+        self.cached_min = None
         c0 = self.comparator.count
         node = Node(key, payload)
-        cached = forest.cached_min
-        if cached is not None:
-            # Filed last in bucket 0, the new root beats a cached root at
-            # height 0 by being less, and one above by a tie.
-            forest.cached_min = None
-            less = self.comparator
-            best = cached[1].key
-            if (not less.raw_less(best, key) if cached[0]
-                    else less.raw_less(key, best)):
-                cached = (0, node)
-            less.count += 1
-            forest.cached_min = cached
         handle = Handle(node)
-        forest.add_root(node, 0)
+        self.forest.add_root(node, 0)
         self._fix_op("insert", 0, c0)
         return handle
 
@@ -153,11 +132,10 @@ class Queue:
         cached, and caches what it found; otherwise 0 comparisons.
         """
         self._require_alive()
-        forest = self.forest
         c0 = self.comparator.count
-        if forest.cached_min is None:
-            forest.cached_min = forest.scan_min(self.comparator)
-        root = forest.cached_min[1]
+        if self.cached_min is None:
+            self.cached_min = self.forest.scan_min(self.comparator)
+        root = self.cached_min[1]
         self.ledger.record_structural("find_min", 0)
         self.ledger.finish_op(0, self.comparator.count - c0)
         return root.key, root.payload
@@ -171,9 +149,8 @@ class Queue:
         that raises has moved nothing and opened no record.
         """
         self._require_alive()
-        forest = self.forest
         c0 = self.comparator.count
-        h, root = forest.cached_min or forest.scan_min(self.comparator)
+        h, root = self.cached_min or self.forest.scan_min(self.comparator)
         self._remove_root("delete_min", h, root, c0)
         return root.key, root.payload
 
@@ -191,8 +168,7 @@ class Queue:
         """
         self._require_alive()
         node = self._live_node(handle)
-        _, _, root = self._tree_of(node)
-        forest = self.forest
+        _, root = self._tree_of(node)
         c0 = self.comparator.count
         self.ledger.record_structural("decrease_key", 0)
         try:
@@ -206,9 +182,9 @@ class Queue:
             except BaseException:
                 node.key = old_key
                 raise
-            cached = forest.cached_min
+            cached = self.cached_min
             if cached is not None and top is root and root is not cached[1]:
-                forest.cached_min = None
+                self.cached_min = None
         finally:
             self.ledger.finish_op(0, self.comparator.count - c0)
 
@@ -219,21 +195,11 @@ class Queue:
         anything moves.  Its content is then hoisted to the tree's root
         without any comparison (treated as below every key), and the root
         is removed by the same path as in delete_min.
-
-        A cached minimum in another tree stays, at no cost, unless the
-        removed tree sat at the cached height after it: then the tree's
-        other elements drop one height below the cached root, where a tie
-        would beat it, and the cache is dropped.
         """
         self._require_alive()
         node = self._live_node(handle)
-        forest = self.forest
         c0 = self.comparator.count
-        h, index, root = self._tree_of(node)
-        cached = forest.cached_min
-        if (cached is not None and h and cached[0] == h
-                and index > forest.roots[h].index(cached[1])):
-            forest.cached_min = None
+        h, root = self._tree_of(node)
         sift_to_root(node)
         self._remove_root("delete", h, root, c0)
 
@@ -251,6 +217,7 @@ class Queue:
         self._require_alive()
         if not 0 <= fraction <= 1:
             raise ContractViolation(f"fraction {fraction!r} not in [0, 1]")
+        self.cached_min = None
         other = type(self)(policy=self.policy, less=self.comparator.raw_less,
                            keep_records=self.ledger.records is not None,
                            keep_events=self.ledger.events is not None)
@@ -284,6 +251,7 @@ class Queue:
         if other.comparator.raw_less != self.comparator.raw_less:
             raise ContractViolation("meld across different comparators")
         c0 = self.comparator.count + other.comparator.count
+        self.cached_min = other.cached_min = None
         self.forest.meld(other.forest)
         self.comparator.count += other.comparator.count
         self.ledger.absorb(other.ledger)
@@ -298,11 +266,19 @@ class Queue:
         sound one once, in validate_tree's fast pass; full=False checks
         only the cheap bucket/size/digit/ledger facts.
         Both check the cached minimum against a fresh scan on a separate
-        counter (in Forest.validate), and the comparator's count against
-        the ledger's.
+        counter, and the comparator's count against the ledger's.
         """
-        problems = self.forest.validate(self.comparator.raw_less, full=full)
-        problems.extend(self.ledger.audit(self.forest))
+        forest = self.forest
+        less = self.comparator.raw_less
+        problems = forest.validate(less, full=full)
+        cached = self.cached_min
+        if cached is not None and (
+                not forest.size
+                or cached != forest.scan_min(CountingComparator(less))):
+            h, root = cached
+            problems.append(f"cached minimum {root.key!r} at height {h} "
+                            f"is not scan_min's choice")
+        problems.extend(self.ledger.audit(forest))
         if self.comparator.count != self.ledger.comparisons:
             problems.append(
                 f"comparator counted {self.comparator.count} comparisons, "

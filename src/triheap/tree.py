@@ -229,8 +229,10 @@ def validate_tree(t, less=operator.lt):
 
     A sound tree is walked once, by the fast pass (_is_sound).  Only a
     tree that fails it is walked again (_report_tree) for its messages,
-    level by level, every node's children joining the next level (an
-    aliased child once), so a malformed tree is reported in full.
+    level by level, every node reached for the first time joining the next
+    level, so a malformed tree is reported in full and a link back to a
+    node already reached (an aliased child, a cycle) is reported but not
+    followed.
     """
     root = t.root
     if root is None:
@@ -285,18 +287,19 @@ def _is_sound(root, height, less):
 
 def _report_tree(root, height, less):
     """validate_tree's reporting walk, for a tree that failed the fast
-    pass: _report_node on every node it reaches, level by level."""
+    pass: _report_node on every node it reaches, once, level by level."""
     problems = []
     if root.parent is not None:
         problems.append(f"root {root.key!r} has a parent")
     count = 0
     depth = 0
+    seen = {root}
     level = [root]
     while level:
         count += len(level)
         below = []
         for node in level:
-            _report_node(node, depth, height, less, problems, below.append)
+            _report_node(node, depth, height, less, problems, seen, below)
         level = below
         depth += 1
     expected = (1 << (height + 1)) - 1
@@ -306,12 +309,12 @@ def _report_tree(root, height, less):
     return problems
 
 
-def _report_node(node, depth, height, less, problems, append):
+def _report_node(node, depth, height, less, problems, seen, below):
     """validate_tree's messages for one node of a tree that failed the
     fast pass; none for a node without a fault of its own.
 
-    Also hands each present child to append (an aliased child once), so
-    the walk goes on below it.
+    Also adds each present child not yet in seen to seen and below, so the
+    walk goes on below it.
     """
     left = node.left
     right = node.right
@@ -338,4 +341,6 @@ def _report_node(node, depth, height, less, problems, append):
             problems.append(
                 f"heap order broken: child {child.key!r} under parent "
                 f"{node.key!r}")
-        append(child)
+        if child not in seen:
+            seen.add(child)
+            below.append(child)

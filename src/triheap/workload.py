@@ -169,7 +169,6 @@ def generate_script(seed, n_ops, weights=None):
     ops = []
     live = {}            # eid -> key, full population
     by_key = {}          # key -> set of eids holding it
-    key_count = {}       # key -> live multiplicity
     key_heap = []        # lazy min-heap over keys
     safe = _Pool()       # eids never referenced by an ambiguous delete-min
     used_keys = []
@@ -183,7 +182,6 @@ def generate_script(seed, n_ops, weights=None):
     def add_key(eid, key):
         live[eid] = key
         by_key.setdefault(key, set()).add(eid)
-        key_count[key] = key_count.get(key, 0) + 1
         heapq.heappush(key_heap, key)
 
     def drop_key(eid):
@@ -191,12 +189,9 @@ def generate_script(seed, n_ops, weights=None):
         by_key[key].discard(eid)
         if not by_key[key]:
             del by_key[key]
-        key_count[key] -= 1
-        if not key_count[key]:
-            del key_count[key]
 
     def current_min():
-        while key_heap and key_count.get(key_heap[0], 0) == 0:
+        while key_heap and key_heap[0] not in by_key:
             heapq.heappop(key_heap)
         return key_heap[0]
 

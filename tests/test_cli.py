@@ -233,3 +233,17 @@ def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["sort", "--policy", "bogus"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["sort", "--audit", "final"],
+    ["counter", "3", "--seed", "1"],
+    ["verify", "-", "--format", "table"],
+    ["dot", "-", "--format", "csv"],
+    ["bench", "5", "--audit", "always"],
+], ids=" ".join)
+def test_a_flag_the_subcommand_does_not_read_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -455,9 +455,9 @@ def shape(node):
 class TestBucketSplice:
     """Forest.split and Forest.meld move whole buckets; these check that
     they move exactly the trees, in exactly the order, that filing each
-    tree with add_root would, that both leave every forest involved
-    without a cached minimum, and that Queue.split and Queue.meld keep
-    their behavior on top of them."""
+    tree with add_root would, and that Queue.split and Queue.meld keep
+    their behavior on top of them, a split leaving neither half a cached
+    minimum."""
 
     POLICIES = [FixPolicy(), FixPolicy("relaxed")]
 
@@ -491,18 +491,12 @@ class TestBucketSplice:
             assert count in ends
 
         # Forest level, before any fix: the round trip files every root
-        # back in place, by identity and order, and drops the cache.
-        if len(q):
-            q.find_min()
+        # back in place, by identity and order.
         before = filed(q.forest)
         size, phi = q.forest.size, q.ledger.phi
         moved = Forest(policy)
         moved_phi = q.forest.split(count, moved)
-        assert q.forest.cached_min is None and moved.cached_min is None
-        if len(q):
-            q.find_min()
         q.forest.meld(moved)
-        assert q.forest.cached_min is None and moved.cached_min is None
         assert filed(q.forest) == before
         assert q.forest.size == size and moved.roots == [] and \
             moved.size == 0
@@ -510,7 +504,7 @@ class TestBucketSplice:
         if len(q):
             q.find_min()
         other = q.split(fraction)
-        assert q.forest.cached_min is None and other.forest.cached_min is None
+        assert q.cached_min is None and other.cached_min is None
         kept = [(h, id(root)) for h, bucket in enumerate(q.forest.roots)
                 for root in bucket]
         gone = [(h, id(root)) for h, bucket in enumerate(other.forest.roots)
@@ -543,13 +537,10 @@ class TestBucketSplice:
         a, b = mixed_queue(policy, n_a, seed), mixed_queue(policy, n_b, ~seed)
         reference = Forest(policy)
         for x in (a, b):
-            if len(x):
-                x.find_min()
             for h, bucket in enumerate(x.forest.roots):
                 for root in bucket:
                     reference.add_root(root, h)
         a.forest.meld(b.forest)
-        assert a.forest.cached_min is None and b.forest.cached_min is None
         assert filed(a.forest) == filed(reference)
         assert a.forest.size == reference.size
         assert (b.forest.roots, b.forest.size) == ([], 0)
@@ -805,8 +796,9 @@ def fresh_scan(q):
 
 
 class TestMinCache:
-    """Forest.cached_min is None or exactly the (height, root) that a fresh
-    scan_min returns, after every public op."""
+    """Queue.cached_min is None or exactly the (height, root) that a fresh
+    scan_min returns, after every public op; find_min sets it, delete_min
+    and decrease_key read it, and every other mutation drops it."""
 
     POLICIES = [FixPolicy(), FixPolicy("relaxed"),
                 FixPolicy("relaxed", relaxed_budget=2)]
@@ -824,8 +816,7 @@ class TestMinCache:
     def test_cache_is_scan_mins_choice_after_every_op(self, seed, policy):
         # Keys start in range(8) and decrease-keys lower them by up to 8,
         # so ties are common and many sifts reach a root.  Every path that
-        # keeps or drops the cache must run at least once; a carry keeps
-        # the cached root when the root stays cached at a greater height.
+        # reads the cache must run at least once.
         rng = random.Random(seed)
         q = Queue(policy=policy)
         live = []
@@ -833,30 +824,18 @@ class TestMinCache:
         paths = Counter()
         for _ in range(3000):
             roll = rng.random()
-            before = q.forest.cached_min
+            before = q.cached_min
             if not live or roll < 0.35:
                 live.append(q.insert(rng.randrange(8)))
-                after = q.forest.cached_min
-                if before is None:
-                    path = None
-                elif after is None:
-                    path = "carried root dropped on a tie"
-                elif after[1] is live[-1].node:
-                    path = "insert won"
-                elif after[0] > before[0]:
-                    assert after[1] is before[1]
-                    path = "carried root kept"
-                else:
-                    assert after is before
-                    path = "insert lost"
-                paths[path] += 1
+                assert q.cached_min is None
             elif roll < 0.55:
                 assert q.find_min()[0] == min(h.key for h in live)
+                assert q.cached_min is not None
             elif roll < 0.65:
                 paths["delete_min cached"] += before is not None
                 least = min(h.key for h in live)
                 assert q.delete_min()[0] == least
-                assert q.forest.cached_min is None
+                assert q.cached_min is None
                 live = [h for h in live if h.alive]
             elif roll < 0.8:
                 h = rng.choice(live)
@@ -869,38 +848,32 @@ class TestMinCache:
                     else:
                         path = "dk reached another root"
                     kept = path != "dk reached another root"
-                    assert q.forest.cached_min is (before if kept else None)
+                    assert q.cached_min is (before if kept else None)
                     paths[path] += 1
             elif roll < 0.85:
-                h = live.pop(rng.randrange(len(live)))
-                q.delete(h)
-                if before is not None:
-                    kept = q.forest.cached_min is not None
-                    paths["delete kept" if kept else "delete dropped"] += 1
+                q.delete(live.pop(rng.randrange(len(live))))
+                assert q.cached_min is None
             elif roll < 0.88:
                 q.find_min()
                 other = q.split(rng.random())
-                assert q.forest.cached_min is None
-                assert other.forest.cached_min is None
+                assert q.cached_min is None and other.cached_min is None
                 for half in (q, other):
                     assert half.validate(full=False) == []
                 for half in (q, other):
                     if len(half) and rng.random() < 0.5:
                         half.find_min()
                 q.meld(other)
-                assert q.forest.cached_min is None
-                assert other.forest.cached_min is None
+                assert q.cached_min is None and other.cached_min is None
             elif roll < 0.9:
                 other, handles = self.filled(rng, policy, rng.randrange(1, 40))
                 q.meld(other)
-                assert q.forest.cached_min is None
-                assert other.forest.cached_min is None
+                assert q.cached_min is None and other.cached_min is None
                 live.extend(handles)
             elif roll < 0.95:
                 h = rng.choice(live)
                 with pytest.raises(ContractViolation):
                     q.decrease_key(h, h.key + 1)
-                assert q.forest.cached_min is before
+                assert q.cached_min is before
             else:
                 h = rng.choice(foreign_handles)
                 with pytest.raises(ContractViolation):
@@ -908,96 +881,59 @@ class TestMinCache:
                         q.decrease_key(h, -100)
                     else:
                         q.delete(h)
-                assert q.forest.cached_min is before
-            cached = q.forest.cached_min
+                assert q.cached_min is before
+            cached = q.cached_min
             assert cached is None or cached == fresh_scan(q)
             assert q.validate(full=False) == []
         assert q.validate() == [] and foreign.validate() == []
         assert sorted(h.key for h in foreign_handles) == \
             sorted(k for t in foreign.forest.trees() for k in t.keys())
         assert min(paths[p] for p in (
-            "insert won", "insert lost", "carried root kept",
-            "carried root dropped on a tie", "delete_min cached",
-            "dk stopped below a root", "dk reached the cached root",
-            "dk reached another root", "delete kept",
-            "delete dropped")) > 0, paths
-
-    def test_carried_singleton_next_to_an_equal_key_drops(self):
-        """Root 5 of a height-1 tree and a cached singleton 5 below it: the
-        third insert carries the singleton up beside the other 5, where it
-        would lose the tie, so the cache drops, and find_min then returns
-        the earlier 5, scan_min's choice."""
-        q = Queue(keep_records=True)
-        for k in (5, 6, 7):
-            q.insert(k)
-        tall = q.forest.roots[1][0]
-        single = q.insert(5).node
-        assert q.find_min() == (5, None)
-        assert q.forest.cached_min == (0, single)
-        q.insert(8)
-        q.insert(9)  # carries 5, 8, 9; the 5 checks the earlier 5, ties
-        rec = q.ledger.records[-1]
-        assert (rec.fixes, rec.comparisons) == (1, 1 + 2 + 1)
-        assert q.forest.roots[1] == [tall, single]
-        assert q.forest.cached_min is None
-        assert q.find_min() == (5, None)
-        assert q.forest.cached_min == (1, tall) == fresh_scan(q)
-        assert q.validate() == []
+            "delete_min cached", "dk stopped below a root",
+            "dk reached the cached root", "dk reached another root")) > 0, \
+            paths
 
     def test_inconsistent_carry_drops_the_cache(self):
-        """The carry of a cached 5 with 7 and 9 meets a comparator that
-        lies once, on its third call, that 7 < 5: 7 adopts 5, and the
-        cache must not keep a root that is now a child."""
+        """The carry of a 5, cached before the inserts, with 7 and 9 meets
+        a comparator that lies once, on its first call, that 7 < 5: 7
+        adopts 5, and the queue must not keep a root that is now a
+        child."""
         calls = []
 
         def liar(a, b):
             calls.append((a, b))
-            return True if len(calls) == 3 else a < b
+            return True if len(calls) == 1 else a < b
 
         q = Queue(less=liar)
         five = q.insert(5).node
         q.find_min()
         q.insert(7)
         q.insert(9)
-        assert calls[2] == (7, 5) and five.parent is q.forest.roots[1][0]
-        assert q.forest.cached_min is None
+        assert calls[0] == (7, 5) and five.parent is q.forest.roots[1][0]
+        assert q.cached_min is None
         assert q.delete_min()[0] == 7
         assert q.validate() == []
 
     def test_upkeep_costs(self):
-        """Each op pays what Queue's docstring says: a carry of the cached
-        root one check per rival; a delete outside the cached root's tree
-        none, and none either when it drops the cache; a meld or a split
-        none, and both drop it."""
+        """Each op pays what Queue's docstring says: insert, delete, meld
+        and split each drop a cached minimum without a comparison of their
+        own (none of these carries)."""
         q = Queue(keep_records=True)
 
         def cost():
             return q.ledger.records[-1].comparisons
 
-        for k in (10, 20, 30):
-            q.insert(k)
-        three = q.insert(3).node
-        assert q.find_min() == (3, None) and cost() == 1
-        q.insert(70)
-        assert cost() == 1  # the offer
-        q.insert(80)  # offer, carry of 3, 70, 80, then 3 checks 10
-        assert cost() == 1 + 2 + 1
-        assert q.forest.cached_min == (1, three) == fresh_scan(q)
-
-        q = Queue(keep_records=True)
-        h = {k: q.insert(k) for k in range(1, 7)}  # height-1 trees 1 and 4
-        assert q.find_min() == (1, None)
-        q.delete(h[5])  # tree 4 sits behind 1 at height 1: dropped
-        assert cost() == 0
-        assert q.forest.digits() == [2, 1]
-        assert q.forest.cached_min is None
+        for k in range(1, 7):
+            q.insert(k)  # height-1 trees 1 and 4
+        zero = q.insert(0)
+        assert q.find_min() == (0, None) and cost() == 2
+        q.insert(9)
+        assert q.forest.digits() == [2, 2]
+        assert cost() == 0 and q.cached_min is None
+        assert q.find_min() == (0, None) and cost() == 3
+        q.delete(zero)
+        assert cost() == 0 and q.cached_min is None
         assert q.find_min() == (1, None) and cost() == 2
-        q.delete(h[6])  # a singleton below: kept
-        assert cost() == 0
-        assert q.forest.cached_min == (1, h[1].node) == fresh_scan(q)
-        q.delete(h[2])  # in the cached root's tree: dropped
-        assert cost() == 2  # the carry of the three singletons left
-        assert q.forest.cached_min is None
         assert q.validate() == []
 
         a, b = Queue(keep_records=True), Queue()
@@ -1007,37 +943,13 @@ class TestMinCache:
         b.find_min()
         a.meld(b)
         assert a.ledger.records[-1].comparisons == 0
-        assert a.forest.cached_min is None and b.forest.cached_min is None
+        assert a.cached_min is None and b.cached_min is None
         assert a.find_min() == (1, None)
         other = a.split(0.5)
         assert a.ledger.records[-1].comparisons == 0
-        assert a.forest.cached_min is None
-        assert other.forest.cached_min is None
+        assert a.cached_min is None and other.cached_min is None
         assert other.find_min() == (1, None)
         assert a.validate() == [] and other.validate() == []
-
-    @pytest.mark.parametrize("inserts", [1, 3])
-    def test_raise_in_insert_upkeep_leaves_no_cache(self, inserts):
-        """The cached root sits at height 0 (one insert) or 1 (three), so
-        both sides of the tie rule compare "x" with an int, which raises
-        before the new root is filed: the insert adds nothing and opens
-        no record."""
-        q = Queue(keep_records=True)
-        for k in range(1, inserts + 1):
-            q.insert(k)
-        q.find_min()
-        assert q.forest.cached_min is not None
-        records = len(q.ledger.records)
-        with pytest.raises(TypeError):
-            q.insert("x")
-        assert q.forest.cached_min is None
-        assert len(q) == inserts
-        assert len(q.ledger.records) == records
-        assert q.comparator.count == q.ledger.comparisons
-        assert q.validate() == []
-        assert q.find_min() == (1, None)
-        assert q.forest.cached_min == fresh_scan(q)
-        assert q.validate() == []
 
     def test_decrease_key_upkeep_costs(self):
         """A tree of 10 over 20 and 30, and a singleton 5 cached as the
@@ -1048,26 +960,26 @@ class TestMinCache:
         h10, h20, h30 = (q.insert(k) for k in (10, 20, 30))
         h5 = q.insert(5)
         assert q.find_min() == (5, None)
-        cached = q.forest.cached_min
+        cached = q.cached_min
 
         def cost(handle, key):
             q.decrease_key(handle, key)
             return q.ledger.records[-1].comparisons
 
         assert cost(h30, 15) == 2  # check, sift stops below the root
-        assert q.forest.cached_min is cached
+        assert q.cached_min is cached
         assert cost(h5, 4) == 1  # check; the cached root itself
-        assert q.forest.cached_min is cached
+        assert q.cached_min is cached
         assert cost(h10, 8) == 1  # check; another root: dropped
-        assert q.forest.cached_min is None
+        assert q.cached_min is None
         assert q.find_min() == (4, None)
         assert cost(h20, 3) == 2  # check, one sift step; another root
-        assert q.forest.cached_min is None
+        assert q.cached_min is None
         assert q.find_min() == (3, None)
-        cached = q.forest.cached_min
+        cached = q.cached_min
         assert cached == (1, h20.node) == fresh_scan(q)
         assert cost(h10, 2) == 2  # check, one sift step to the cached root
-        assert q.forest.cached_min is cached
+        assert q.cached_min is cached
         assert cached == (1, h10.node) == fresh_scan(q)
         assert q.validate() == []
 
@@ -1084,7 +996,7 @@ class TestMinCache:
         assert q.delete_min()[0] == 1
         rec = q.ledger.records[-1]
         assert rec.comparisons == 2 * rec.fixes
-        assert q.forest.cached_min is None
+        assert q.cached_min is None
         trees = q.forest.tree_count()
         assert q.delete_min()[0] == 2
         rec = q.ledger.records[-1]
@@ -1097,10 +1009,10 @@ class TestMinCache:
         q.find_min()
         assert q.validate() == []
         least, other = q.forest.roots[0]
-        q.forest.cached_min = (0, other)
+        q.cached_min = (0, other)
         assert q.validate() == [
             "cached minimum 2 at height 0 is not scan_min's choice"]
-        q.forest.cached_min = (1, least)
+        q.cached_min = (1, least)
         assert q.validate() == [
             "cached minimum 1 at height 1 is not scan_min's choice"]
 
@@ -1229,7 +1141,7 @@ class ScanningQueue(Queue):
 def roots_and_counts(q):
     """Root keys per height in bucket order, comparisons, carries and the
     cached minimum's height and key."""
-    cached = q.forest.cached_min
+    cached = q.cached_min
     return ([[root.key for root in bucket] for bucket in q.forest.roots],
             q.comparator.count, q.ledger.rearrangements,
             None if cached is None else (cached[0], cached[1].key))

@@ -459,6 +459,32 @@ def test_every_diagnostic_is_reported_at_every_height(plant, height, depth,
     assert sorted(validate_tree(t)) == sorted(expected)
 
 
+@pytest.mark.parametrize("height", [1, 2, 3, 4])
+def test_a_link_back_to_the_root_is_reported_once(height, rng):
+    """The last internal node of the left spine gets the root as its left
+    child, closing a cycle (a self-loop at height 1).  The walk reports
+    that link, does not follow it, and counts the leaf it replaced as
+    lost.  The comparator fails the test if the walk does not end."""
+    t = build_perfect_heap(list(range(perfect_size(height))), rng)
+    node = t.root
+    for _ in range(height - 1):
+        node = node.left
+    node.left = t.root
+    calls = []
+
+    def bounded(a, b):
+        calls.append(None)
+        assert len(calls) < 4 * perfect_size(height), "the walk goes on"
+        return a < b
+
+    expected = [f"child 0 does not link back to {node.key!r}",
+                _count_message(t, perfect_size(height) - 1)]
+    if node is not t.root:
+        expected.append(f"heap order broken: child 0 under parent "
+                        f"{node.key!r}")
+    assert sorted(validate_tree(t, bounded)) == sorted(expected)
+
+
 @given(height=st.integers(0, 5), seed=st.integers(0, 2 ** 20),
        picks=st.lists(st.tuples(st.integers(0, 99), st.integers(0, 31)),
                       max_size=2))

@@ -135,40 +135,40 @@ MELD_SPLIT_HEAVY = dict(DEFAULT_WEIGHTS, **{"meld-split": 25})
 # roots.
 CARRY_SCHEDULE = {
     ("default", "eager", 0):
-        (114995, 24511, 61, [2, 2, 0, 1, 1, 2, 2, 2, 2], 21934,
+        (122239, 24511, 61, [2, 2, 0, 1, 1, 2, 2, 2, 2], 21934,
          "c79c6a678907d754"),
     ("default", "eager", 1):
-        (113505, 23485, 68, [2, 2, 2, 2, 1, 2, 2, 2, 2], 21886,
+        (120630, 23485, 68, [2, 2, 2, 2, 1, 2, 2, 2, 2], 21886,
          "1a68222afb52c09a"),
     ("default", "eager", 2):
-        (114919, 24228, 44, [2, 2, 0, 1, 1, 1, 1, 1, 1, 1], 22092,
+        (121801, 24228, 44, [2, 2, 0, 1, 1, 1, 1, 1, 1, 1], 22092,
          "81150e2f5bc73235"),
     ("default", "relaxed", 0):
-        (138361, 19867, 90, [2, 2, 1, 3, 4, 4, 2, 3, 1], 21934,
+        (154598, 19867, 90, [2, 2, 1, 3, 4, 4, 2, 3, 1], 21934,
          "6a06596570710419"),
     ("default", "relaxed", 1):
-        (134099, 19298, 88, [0, 4, 2, 2, 3, 3, 3, 3, 1], 21886,
+        (149510, 19298, 88, [0, 4, 2, 2, 3, 3, 3, 3, 1], 21886,
          "03ff47bfdae77326"),
     ("default", "relaxed", 2):
-        (136557, 19515, 90, [1, 1, 4, 2, 2, 4, 3, 3, 1], 22092,
+        (152024, 19515, 90, [1, 1, 4, 2, 2, 4, 3, 3, 1], 22092,
          "8c92e3ea31e46165"),
     ("meld-split-heavy", "eager", 0):
-        (96718, 19524, 51, [2, 2, 2, 2, 0, 2, 1, 1, 2], 28448,
+        (99647, 19524, 51, [2, 2, 2, 2, 0, 2, 1, 1, 2], 28448,
          "4975ab6c16e37d94"),
     ("meld-split-heavy", "eager", 1):
-        (96922, 19480, 55, [0, 2, 2, 2, 1, 2, 1, 1, 2], 28294,
+        (99510, 19480, 55, [0, 2, 2, 2, 1, 2, 1, 1, 2], 28294,
          "5136101a80856405"),
     ("meld-split-heavy", "eager", 2):
-        (100170, 20353, 57, [1, 2, 2, 1, 2, 1, 2, 1, 2], 28324,
+        (102566, 20353, 57, [1, 2, 2, 1, 2, 1, 2, 1, 2], 28324,
          "3a56f1e6711e866c"),
     ("meld-split-heavy", "relaxed", 0):
-        (109580, 17003, 83, [4, 1, 1, 3, 4, 2, 4, 3], 28448,
+        (115743, 17003, 83, [4, 1, 1, 3, 4, 2, 4, 3], 28448,
          "138059e2a6bab939"),
     ("meld-split-heavy", "relaxed", 1):
-        (108988, 16820, 59, [1, 2, 2, 2, 1, 4, 0, 1, 2], 28294,
+        (114503, 16820, 59, [1, 2, 2, 2, 1, 4, 0, 1, 2], 28294,
          "b51fdbae090cfe4c"),
     ("meld-split-heavy", "relaxed", 2):
-        (113106, 17525, 75, [1, 3, 0, 2, 4, 2, 3, 2, 1], 28324,
+        (118631, 17525, 75, [1, 3, 0, 2, 4, 2, 3, 2, 1], 28324,
          "63d7d9ba5c60506b"),
 }
 
