@@ -1,4 +1,5 @@
-"""Shared test helpers: brute-force tree construction and key extraction.
+"""Shared test helpers: brute-force tree construction, key extraction and
+a key class that counts its comparisons.
 
 build_perfect_heap wires nodes together by hand (min key at the root, the
 rest split randomly between the two subtrees), so it is an independent way
@@ -11,6 +12,36 @@ import random
 import pytest
 
 from triheap.tree import Handle, Node, PerfectTree
+
+
+class CountedKey:
+    """A key that orders by its value and counts every call of its <.
+
+    The count is the class attribute calls, shared by all instances (set it
+    to 0 before counting); it is the ground truth a comparison counter is
+    checked against.  Equality, hashing and repr are the value's, so keys
+    compare and print as their values do.  Subclasses that override
+    __lt__ get keys whose < misbehaves on purpose.
+    """
+
+    __slots__ = ("value",)
+    calls = 0
+
+    def __init__(self, value):
+        self.value = value
+
+    def __lt__(self, other):
+        CountedKey.calls += 1
+        return self.value < other.value
+
+    def __eq__(self, other):
+        return isinstance(other, CountedKey) and self.value == other.value
+
+    def __hash__(self):
+        return hash(self.value)
+
+    def __repr__(self):
+        return repr(self.value)
 
 
 def perfect_size(height):

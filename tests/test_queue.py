@@ -17,7 +17,7 @@ from triheap.queue import Queue
 from triheap.tree import CountingComparator, detach_root
 from triheap.workload import QueueRunner, generate_script
 
-from conftest import build_perfect_heap
+from conftest import CountedKey, build_perfect_heap
 from test_workload import MELD_SPLIT_HEAVY
 
 
@@ -1196,3 +1196,37 @@ def test_forest_over_the_bound_is_scanned_after_a_raising_carry(queue_cls):
     with pytest.raises(TypeError):
         moved.delete(two)
     assert len(moved) == 3 and moved.forest.digits() == [3]
+
+
+def counted(ops):
+    """ops with every key, inserted or lowered to, wrapped in CountedKey."""
+    return [(kind, CountedKey(op[1])) if kind == "i" else
+            (kind, op[1], CountedKey(op[2])) if kind == "dk" else op
+            for op in ops for kind in op[:1]]
+
+
+@pytest.mark.parametrize("policy", [
+    FixPolicy(), FixPolicy("relaxed"), FixPolicy("relaxed", relaxed_budget=2),
+], ids=["eager", "relaxed", "relaxed-budget-2"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_counter_equals_the_keys_own_comparisons(seed, policy):
+    """Replaying generate_script(seed, 25_000) on CountedKey keys, the
+    queue's counter ends equal to the number of < calls the keys saw.
+    Nothing else compares keys in between: no validate() and no oracle."""
+    ops = counted(generate_script(seed, 25_000).ops)
+    runner = QueueRunner(policy=policy)
+    CountedKey.calls = 0
+    runner.run(ops)
+    assert runner.queue.comparator.count == CountedKey.calls > 0
+
+
+def test_counter_equals_the_keys_own_comparisons_in_heapsort():
+    rng = random.Random(2012)
+    keys = [CountedKey(rng.getrandbits(32)) for _ in range(10_000)]
+    q = Queue()
+    CountedKey.calls = 0
+    for key in keys:
+        q.insert(key)
+    out = [q.delete_min()[0] for _ in keys]
+    assert q.comparator.count == CountedKey.calls > 0
+    assert [k.value for k in out] == sorted(k.value for k in keys)
