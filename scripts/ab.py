@@ -4,22 +4,25 @@
 Usage, from anywhere inside a checkout:
 
     python3 scripts/ab.py PARENT CHANGE --seeds 1201-1210 --seconds 40 \
-        [--same-counts] [--traced 1211] [--out BENCH_n.json]
+        [--same-counts] [--traced 1211-1213] [--out BENCH_n.json]
 
 Both refs are exported with `git archive` into a temporary directory, so
 the repository and its .git stay as they are.  For each seed and each
 workload of BENCHMARK.json it runs `perfbench/run.py --trace 0` once in
 each export, the parent first on even-numbered pairs and the change first
-on odd ones; with --traced, one pair of --trace 1 runs per workload follows.
+on odd ones; with --traced (a seed or a range, as --seeds takes), one pair
+of --trace 1 runs per traced seed and workload follows, alternating alike.
 
 The output has BENCH_10.json's summary per workload (medians, quartiles by
 statistics.quantiles(..., method="inclusive"), change_over_parent, better
 and equal pairs, worse_by against the BENCHMARK.json bound), the per-layer
-metrics of the traced pair, each run's result without its per-round
-arrays, and the verdict.  Exit status 1 when any op failed or a run gave
-no result, when a median is worse than its bound, or, with --same-counts,
-when comparisons_per_op differs in any pair; else 0.  SIGTERM stops it
-like an error, so the exports are removed and a running child is killed.
+metrics of the traced pairs (median and quartiles per side, and the value
+per seed), each run's result without its per-round arrays, and the
+verdict.  Exit status 1 when any op failed or a run gave no result, the
+traced runs included, when a median is worse than its bound, or, with
+--same-counts, when comparisons_per_op differs in any pair; else 0.
+SIGTERM stops it like an error, so the exports are removed and a running
+child is killed.
 """
 
 from __future__ import annotations
@@ -141,6 +144,26 @@ def summarize(records, workload, seeds, end_to_end):
     return out
 
 
+def layers(pairs):
+    """Per-layer metrics of one workload's traced pairs, {seed: {side:
+    record}}: per metric, spread() per side and the values per seed.
+    Pairs with a run that gave no result are left out."""
+    pairs = {seed: {side: r["result"] for side, r in runs.items()}
+             for seed, runs in pairs.items()
+             if all(r["result"] is not None for r in runs.values())}
+    if not pairs:
+        return {}
+    out = {}
+    for name in next(iter(pairs.values()))["parent"]["metrics"]:
+        per_seed = {str(seed): {side: result["metrics"][name]["value"]
+                                for side, result in runs.items()}
+                    for seed, runs in pairs.items()}
+        out[name] = {side: spread([v[side] for v in per_seed.values()])
+                     for side in SIDES}
+        out[name]["per_seed"] = per_seed
+    return out
+
+
 def verdict(summary, traced, same_counts):
     """The reasons to exit 1, as lines; empty when the A/B passes."""
     failures = []
@@ -162,10 +185,12 @@ def verdict(summary, traced, same_counts):
             if pair["parent"] != pair["change"]:
                 failures.append(f"{workload} seed {seed}: comparisons_per_op "
                                 f"{pair['parent']} -> {pair['change']}")
-    for workload, runs in traced.items():
-        for side, r in runs.items():
-            if r["result"] is None or r["result"]["failed"]:
-                failures.append(f"{workload}: traced {side} run failed")
+    for workload, pairs in traced.items():
+        for seed, runs in pairs.items():
+            for side, r in runs.items():
+                if r["result"] is None or r["result"]["failed"]:
+                    failures.append(f"{workload}: traced {side} run on seed "
+                                    f"{seed} failed")
     return failures
 
 
@@ -183,8 +208,9 @@ def main(argv=None):
     parser.add_argument("--seconds", required=True, type=float)
     parser.add_argument("--same-counts", action="store_true",
                         help="fail when comparisons_per_op differs in a pair")
-    parser.add_argument("--traced", type=int, metavar="SEED",
-                        help="add one traced pair per workload on SEED")
+    parser.add_argument("--traced", type=parse_seeds, default=[],
+                        metavar="A-B",
+                        help="add one traced pair per workload and seed")
     parser.add_argument("--out", help="write the JSON here, not to stdout")
     args = parser.parse_args(argv)
 
@@ -195,15 +221,14 @@ def main(argv=None):
     commits = {side: git("rev-parse", "--verify", f"{ref}^{{commit}}")
                for side, ref in zip(SIDES, (args.parent, args.change))}
     records = {side: {} for side in SIDES}
-    traced = {}
+    traced = {w: {} for w in workloads}
     with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
         checkouts = {side: os.path.join(tmp, side) for side in SIDES}
         for side in SIDES:
             export(commits[side], checkouts[side])
-        plan = [(w, s, 0, i % 2) for i, s in enumerate(args.seeds)
-                for w in workloads]
-        if args.traced is not None:
-            plan += [(w, args.traced, 1, 0) for w in workloads]
+        plan = [(w, s, trace, i % 2)
+                for trace, seeds in enumerate((args.seeds, args.traced))
+                for i, s in enumerate(seeds) for w in workloads]
         for n, (w, seed, trace, change_first) in enumerate(plan, 1):
             order = SIDES[::-1] if change_first else SIDES
             for side in order:
@@ -212,17 +237,12 @@ def main(argv=None):
                 records[side][key(w, seed, trace)] = run_one(
                     checkouts[side], w, seed, args.seconds, trace)
             if trace:
-                traced[w] = {side: records[side][key(w, seed, 1)]
-                             for side in SIDES}
+                traced[w][seed] = {side: records[side][key(w, seed, 1)]
+                                   for side in SIDES}
 
     summary = {w: summarize(records, w, args.seeds, bench["end_to_end"])
                for w in workloads}
-    per_layer = {
-        w: {name: {side: r["result"]["metrics"][name]["value"]
-                   for side, r in runs.items()}
-            for name in runs["parent"]["result"]["metrics"]}
-        for w, runs in traced.items()
-        if all(r["result"] is not None for r in runs.values())}
+    per_layer = {w: layers(pairs) for w, pairs in traced.items() if pairs}
     failures = verdict(summary, traced, args.same_counts)
     doc = {
         "parent": {"ref": args.parent, "commit": commits["parent"]},

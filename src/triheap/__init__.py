@@ -15,7 +15,7 @@ from .forest import EAGER, RELAXED, FixPolicy, Forest
 from .ledger import OpRecord, PotentialLedger
 from .oracle import OracleQueue, Verdict, oracle_apply, run_differential
 from .queue import Queue
-from .tree import (CountingComparator, Handle, Node, PerfectTree,
+from .tree import (ComparisonCounter, Handle, Node, PerfectTree,
                    sift_to_root, sift_up, validate_tree)
 from .workload import (QueueRunner, StatsRecord, WorkloadScript,
                        format_script, generate_script, parse_script)
@@ -23,7 +23,7 @@ from .workload import (QueueRunner, StatsRecord, WorkloadScript,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ContractViolation", "CountingComparator", "EAGER", "EmptyQueueError",
+    "ComparisonCounter", "ContractViolation", "EAGER", "EmptyQueueError",
     "FixPolicy", "Forest", "Handle", "HeapError", "InvalidHandleError",
     "LedgerError", "Node", "OpRecord", "OracleQueue", "PerfectTree",
     "PotentialLedger", "Queue", "QueueRunner", "RELAXED", "SkewCounter",

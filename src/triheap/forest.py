@@ -14,7 +14,6 @@ trees (iteration, validation).
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 from .errors import ContractViolation, EmptyQueueError
@@ -61,7 +60,7 @@ class Forest:
 
     pending says where add_root filed since fix last completed: None for
     nowhere, one height, or SCAN (two heights, a meld, or a fix cut short
-    by a raising comparator, which can leave a digit over the bound).
+    by a raising key comparison, which can leave a digit over the bound).
     """
 
     __slots__ = ("roots", "size", "policy", "pending")
@@ -152,10 +151,12 @@ class Forest:
         other.size = 0
 
     def find_root(self, root):
-        """Locate the tree rooted at this node; returns (height, index)."""
+        """Locate the tree rooted at this node, in one pass that compares
+        by identity; returns (height, index)."""
         for h, bucket in enumerate(self.roots):
-            if root in bucket:
-                return h, bucket.index(root)
+            for i, filed in enumerate(bucket):
+                if filed is root:
+                    return h, i
         raise ContractViolation("node does not root any tree of this forest")
 
     def digits(self):
@@ -178,16 +179,15 @@ class Forest:
             for root in bucket:
                 yield PerfectTree(root, h)
 
-    def scan_min(self, less):
+    def scan_min(self, counter):
         """Find a tree with minimal root key; returns (height, root).
 
         Ties go to the lower height, then the earlier bucket position.
-        Exactly (number of trees - 1) comparisons, counted in bulk on the
-        comparator.
+        Exactly (number of trees - 1) < comparisons, charged to counter in
+        bulk once the scan is done.
         """
         if self.size == 0:
             raise EmptyQueueError("scan_min on an empty forest")
-        raw = less.raw_less
         seen = 0
         best = None
         best_key = None
@@ -196,14 +196,14 @@ class Forest:
             seen += len(bucket)
             for root in bucket:
                 key = root.key
-                if best is None or raw(key, best_key):
+                if best is None or key < best_key:
                     best = root
                     best_key = key
                     best_h = h
-        less.count += seen - 1
+        counter.count += seen - 1
         return best_h, best
 
-    def fix(self, less, ledger=None):
+    def fix(self, counter, ledger=None):
         """Restore the policy's digit bound; returns carries performed.
 
         A carry takes the first three trees of a bucket (FIFO) whose digit
@@ -220,19 +220,19 @@ class Forest:
           the pending height, so k carries visit k + 1 heights, and none
           with nothing pending.  Other filings (ten singletons) are scanned.
         - The scan, for everything else (meld, the relaxed policy, a forest
-          a raising comparator left over the bound): it carries at the
+          a raising comparison left over the bound): it carries at the
           lowest height whose digit reaches the threshold, then resumes at
           the height below, the lowest one the carry can have pushed over.
           The threshold is 3; under relaxed it becomes 5, and the scan
           restarts from height 0, once relaxed_budget carries are done.
 
         Each carry compares its three roots before it unlinks them, so a
-        comparator that raises leaves every tree in the forest, and pending
-        at SCAN.  less must be a counting comparator: the two comparisons
-        per carry are charged in bulk.  ledger, when given, is charged once
-        per call with the carry count and their net height-sum change (-1
-        per carry at height h >= 1, +1 per carry of three singletons), and
-        gets one (h, delta) event per carry when it keeps events.
+        key whose < raises leaves every tree in the forest, and pending at
+        SCAN.  counter is charged in bulk with 2 per completed carry, also
+        when a comparison raises.  ledger, when given, is charged once per
+        call with the carry count and their net height-sum change (-1 per
+        carry at height h >= 1, +1 per carry of three singletons), and gets
+        one (h, delta) event per carry when it keeps events.
         """
         start = self.pending
         budget = self.policy.relaxed_budget if self.policy.mode == RELAXED else 0
@@ -241,7 +241,6 @@ class Forest:
             return 0
         self.pending = SCAN
         roots = self.roots
-        raw = less.raw_less
         events = ledger.events if ledger is not None else None
         threshold = 3
         done = 0
@@ -261,7 +260,7 @@ class Forest:
                     h += 1
                     continue
                 top, left, right = rearrange_roots(bucket[0], bucket[1],
-                                                   bucket[2], raw)
+                                                   bucket[2])
                 del bucket[:3]
                 if h + 1 < n:
                     roots[h + 1].append(top)
@@ -285,16 +284,16 @@ class Forest:
                     threshold = 5
                     h = 0
         finally:
-            less.count += 2 * done
+            counter.count += 2 * done
             if done and ledger is not None:
                 # +1 per carry of three singletons, -1 per other carry.
                 ledger.record_rearrangement(done, 2 * singletons - done)
         self.pending = None
         return done
 
-    def validate(self, less=operator.lt, full=True):
-        """Diagnostics for buckets, doubly filed roots and, if full, trees,
-        one validate_tree call each."""
+    def validate(self):
+        """Diagnostics for buckets, doubly filed roots and trees, one
+        validate_tree call each."""
         problems = []
         if self.roots and not self.roots[-1]:
             problems.append(
@@ -313,8 +312,7 @@ class Forest:
                 filed.add(root)
         if total != self.size:
             problems.append(f"size {self.size}, but trees hold {total} elements")
-        if full:
-            for h, bucket in enumerate(self.roots):
-                for root in bucket:
-                    problems.extend(validate_tree(PerfectTree(root, h), less))
+        for h, bucket in enumerate(self.roots):
+            for root in bucket:
+                problems.extend(validate_tree(PerfectTree(root, h)))
         return problems

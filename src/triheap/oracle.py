@@ -157,12 +157,12 @@ def run_differential(script, policy=None, audit="always", runner_factory=None):
             return Verdict(False, i + 1,
                            divergence=Divergence(i, op, want, got))
         if audit == "always":
-            problems = runner.queue.validate(full=True)
+            problems = runner.queue.validate()
             if problems:
                 return Verdict(False, i + 1,
                                failures=[f"after op {i}: {p}" for p in problems])
 
-    problems = runner.queue.validate(full=True)
+    problems = runner.queue.validate()
     if len(runner.queue) != len(oracle):
         problems.append(f"final sizes differ: queue {len(runner.queue)}, "
                         f"oracle {len(oracle)}")

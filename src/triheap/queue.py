@@ -9,18 +9,20 @@ rearrangement-based design (and why no sift-down exists in this package).
 
 from __future__ import annotations
 
-import operator
-
 from .errors import ContractViolation, InvalidHandleError
 from .forest import FixPolicy, Forest
 from .ledger import PotentialLedger
-from .tree import (CountingComparator, Handle, Node, detach_root,
+from .tree import (ComparisonCounter, Handle, Node, detach_root,
                    sift_to_root, sift_up)
 
 
 class Queue:
     """Min-priority queue with insert, find/delete-min, decrease-key, delete,
     meld and split, all addressed through stable element handles.
+
+    Keys are ordered by their own <, as heapq orders them; another order
+    takes a key class with its own __lt__.  comparator is the
+    ComparisonCounter of the key comparisons the queue's ops made.
 
     cached_min is None or the (height, root) that Forest.scan_min would
     return right now, ties included.  It serves a read pair: find_min scans
@@ -30,9 +32,9 @@ class Queue:
     cached one.  Every other mutation drops it: insert, delete, delete_min,
     split, and meld on both queues.  No drop costs a comparison.
 
-    Every op that opens a ledger record closes it, also when the comparator
-    raises, with the carries (counted on the ledger since the record
-    opened) and comparisons made by then.
+    Every op that opens a ledger record closes it, also when a key
+    comparison raises, with the carries (counted on the ledger since the
+    record opened) and comparisons made by then.
 
     A queue is single-owner: it may be handed between threads as a whole but
     must never be accessed concurrently.  Independent queues are fully
@@ -42,10 +44,9 @@ class Queue:
     __slots__ = ("policy", "comparator", "forest", "ledger", "alive",
                  "cached_min")
 
-    def __init__(self, policy=None, less=operator.lt, keep_records=False,
-                 keep_events=False):
+    def __init__(self, policy=None, keep_records=False, keep_events=False):
         self.policy = policy if policy is not None else FixPolicy()
-        self.comparator = CountingComparator(less)
+        self.comparator = ComparisonCounter()
         self.forest = Forest(self.policy)
         self.ledger = PotentialLedger(keep_records, keep_events)
         self.alive = True
@@ -81,7 +82,7 @@ class Queue:
     def _fix_op(self, op, delta, c0):
         """Open op's record with its structural delta, run the carries and
         close the record with the carries since then and the comparisons
-        since c0, also when the comparator raises."""
+        since c0, also when a key comparison raises."""
         ledger = self.ledger
         ledger.record_structural(op, delta)
         r0 = ledger.rearrangements
@@ -161,10 +162,11 @@ class Queue:
         and the handle keeps tracking its element.  The handle's tree must
         belong to this queue; that is checked before any comparison.  The
         op's record is closed on every path, a rejected key increase or a
-        raising comparator included, with the comparisons made by then.  A
-        comparator that raises inside the sift leaves the element where it
-        was, with its old key.  A cached minimum is dropped when the sift
-        reached a root other than the cached one, and kept otherwise.
+        raising key comparison included, with the comparisons made by then
+        (the increase check counts 1, before its <).  A comparison that
+        raises inside the sift leaves the element where it was, with its
+        old key.  A cached minimum is dropped when the sift reached a root
+        other than the cached one, and kept otherwise.
         """
         self._require_alive()
         node = self._live_node(handle)
@@ -173,7 +175,8 @@ class Queue:
         self.ledger.record_structural("decrease_key", 0)
         try:
             old_key = node.key
-            if self.comparator(old_key, new_key):
+            self.comparator.count += 1
+            if old_key < new_key:
                 raise ContractViolation(
                     f"decrease_key to {new_key!r} would raise {old_key!r}")
             node.key = new_key
@@ -208,7 +211,7 @@ class Queue:
 
         In height order, then bucket order, the first int(fraction * trees)
         trees stay; the rest move as they are, with no comparison, into a
-        new queue of self's type, policy and key order.  Handles follow
+        new queue of self's type and policy.  Handles follow
         their elements.  Each ledger records one "split" op for moved phi.
         Cost: Forest.split's few list operations per height (only the
         boundary bucket is sliced), no comparison and no carry.  Neither
@@ -218,7 +221,7 @@ class Queue:
         if not 0 <= fraction <= 1:
             raise ContractViolation(f"fraction {fraction!r} not in [0, 1]")
         self.cached_min = None
-        other = type(self)(policy=self.policy, less=self.comparator.raw_less,
+        other = type(self)(policy=self.policy,
                            keep_records=self.ledger.records is not None,
                            keep_events=self.ledger.events is not None)
         phi = self.forest.split(int(fraction * self.forest.tree_count()),
@@ -238,8 +241,8 @@ class Queue:
         input stays valid against the result.  Cost before fixing:
         Forest.meld's one list operation per height, no comparison; then
         the carries run.  The result holds no cached minimum.  Other's
-        ledger hands its phi over with its trees.  The two comparators must
-        be equal (==), as two bound methods of one object are.
+        ledger hands its phi over with its trees, and its counter its
+        count.
         """
         self._require_alive()
         other._require_alive()
@@ -248,8 +251,6 @@ class Queue:
         if self.policy != other.policy:
             raise ContractViolation(
                 f"meld across fix policies {self.policy} / {other.policy}")
-        if other.comparator.raw_less != self.comparator.raw_less:
-            raise ContractViolation("meld across different comparators")
         c0 = self.comparator.count + other.comparator.count
         self.cached_min = other.cached_min = None
         self.forest.meld(other.forest)
@@ -259,22 +260,21 @@ class Queue:
         self._fix_op("meld", 0, c0)
         return self
 
-    def validate(self, full=True):
+    def validate(self):
         """Diagnostics over forest structure and ledger agreement.
 
-        full=True walks every tree (perfectness, heap order, handles), a
-        sound one once, in validate_tree's fast pass; full=False checks
-        only the cheap bucket/size/digit/ledger facts.
-        Both check the cached minimum against a fresh scan on a separate
-        counter, and the comparator's count against the ledger's.
+        Walks every tree (perfectness, heap order, handles), a sound one
+        once, in validate_tree's fast pass, and checks the buckets, sizes
+        and digits, the cached minimum against a fresh scan on a separate
+        counter, the ledger, and the comparator's count against the
+        ledger's.
         """
         forest = self.forest
-        less = self.comparator.raw_less
-        problems = forest.validate(less, full=full)
+        problems = forest.validate()
         cached = self.cached_min
         if cached is not None and (
                 not forest.size
-                or cached != forest.scan_min(CountingComparator(less))):
+                or cached != forest.scan_min(ComparisonCounter())):
             h, root = cached
             problems.append(f"cached minimum {root.key!r} at height {h} "
                             f"is not scan_min's choice")

@@ -3,18 +3,17 @@
 Everything here is link-based: a tree is a root node whose height is kept
 by whoever files it (the forest keeps it as a bucket index), and all
 restructuring moves nodes (or node contents) around without copying
-elements.  The one nontrivial operation is rearrange_roots(), which makes
-the smallest of three equal-height roots adopt the other two and release
-its former children: one taller tree and two shorter leftovers, in constant
-time and exactly two key comparisons.  detach_root() removes a root and
+elements.  Keys are ordered by their own <, as heapq orders them.  The one
+nontrivial operation is rearrange_roots(), which makes the smallest of
+three equal-height roots adopt the other two and release its former
+children: one taller tree and two shorter leftovers, in constant time and
+exactly two key comparisons.  detach_root() removes a root and
 frees its two subtrees, heap-ordered as they stand, with no comparison.
 PerfectTree pairs a root with its height as a read-only view, for
 iteration and validate_tree().
 """
 
 from __future__ import annotations
-
-import operator
 
 
 class Node:
@@ -93,38 +92,36 @@ class PerfectTree:
         return f"PerfectTree(height={self.height}, root={self.root.key!r})"
 
 
-class CountingComparator:
-    """A total-order "less than" wrapped in a comparison counter.
+class ComparisonCounter:
+    """The count of key comparisons a queue has made, in the comparison
+    model.
 
-    All algorithmic key comparisons go through one of these so tests and the
-    ledger can account for work in the comparison model.
+    It compares nothing itself: each function that compares keys takes a
+    counter and adds what it compared, in bulk after the work (a carry's 2,
+    a scan's trees - 1) or one before each < (a sift step).
     """
 
-    __slots__ = ("raw_less", "count")
+    __slots__ = ("count",)
 
-    def __init__(self, less=operator.lt):
-        self.raw_less = less
+    def __init__(self):
         self.count = 0
 
-    def __call__(self, a, b):
-        self.count += 1
-        return self.raw_less(a, b)
 
-
-def rearrange_roots(r1, r2, r3, less):
+def rearrange_roots(r1, r2, r3):
     """The rearrangement step, on three equal-height root nodes.
 
-    The smallest of the three root nodes (two less() calls; ties keep the
-    earliest argument) adopts the other two roots as children, in argument
-    order, and its own former children are released.  Only the links of
-    the three roots and of the released children change; no element is
-    copied, so every handle stays valid.  Returns (top, old_left,
-    old_right); the old children are None for singleton inputs.
+    The smallest of the three root nodes (two < comparisons, which the
+    caller counts; ties keep the earliest argument) adopts the other two
+    roots as children, in argument order, and its own former children are
+    released.  Only the links of the three roots and of the released
+    children change; no element is copied, so every handle stays valid.
+    Returns (top, old_left, old_right); the old children are None for
+    singleton inputs.
     """
     top = r1
-    if less(r2.key, top.key):
+    if r2.key < top.key:
         top = r2
-    if less(r3.key, top.key):
+    if r3.key < top.key:
         top = r3
     if top is r1:
         first, second = r2, r3
@@ -177,19 +174,23 @@ def _swap_contents(a, b):
         b.handle.node = b
 
 
-def sift_up(node, less):
+def sift_up(node, counter):
     """Bubble a possibly-too-small element toward the root.
 
     Contents (never links) are swapped, so the tree shape stays trivially
-    perfect and the handles follow their elements.  At most h comparisons;
-    stops at the first ancestor that is not larger.  If less raises, the
-    swaps made so far are undone, top down, before the error propagates,
-    so every element is back where it started.
+    perfect and the handles follow their elements.  At most h comparisons,
+    each charged to counter before its <; stops at the first ancestor that
+    is not larger.  If a < raises, the swaps made so far are undone, top
+    down, before the error propagates, so every element is back where it
+    started.
     """
     start = node
     parent = node.parent
     try:
-        while parent is not None and less(node.key, parent.key):
+        while parent is not None:
+            counter.count += 1
+            if not node.key < parent.key:
+                break
             _swap_contents(node, parent)
             node = parent
             parent = node.parent
@@ -219,13 +220,15 @@ def sift_to_root(node):
     return node
 
 
-def validate_tree(t, less=operator.lt):
+def validate_tree(t):
     """Structural diagnostics for one tree; returns a list of violations.
 
     Checks perfectness (both-or-no children, all leaves at depth h, node
-    count 2**(h+1) - 1), heap order on every edge, parent/child link
-    symmetry, and handle back-reference consistency.  Reports and never
-    raises; linear time, meant for tests and debug auditing only.
+    count 2**(h+1) - 1), heap order on every edge (no child's key < its
+    parent's), parent/child link symmetry, and handle back-reference
+    consistency.  Its comparisons are counted nowhere.  Reports, and raises
+    only what a key's < raises; linear time, meant for tests and debug
+    auditing only.
 
     A sound tree is walked once, by the fast pass (_is_sound).  Only a
     tree that fails it is walked again (_report_tree) for its messages,
@@ -238,14 +241,14 @@ def validate_tree(t, less=operator.lt):
     if root is None:
         return ["tree has no root"]
     try:
-        if _is_sound(root, t.height, less):
+        if _is_sound(root, t.height):
             return []
-    except AttributeError:  # one less raised is raised again below
+    except AttributeError:  # one a key's < raised is raised again below
         pass
-    return _report_tree(root, t.height, less)
+    return _report_tree(root, t.height)
 
 
-def _is_sound(root, height, less):
+def _is_sound(root, height):
     """validate_tree's fast pass: True when the tree has no fault.
 
     It returns False at the first failure.  The root has no parent and its
@@ -271,8 +274,8 @@ def _is_sound(root, height, less):
                     or right.parent is not node
                     or left.handle.node is not left
                     or right.handle.node is not right
-                    or less(left.key, node.key)
-                    or less(right.key, node.key)):
+                    or left.key < node.key
+                    or right.key < node.key):
                 return False
             if height:
                 below.append(left)
@@ -285,7 +288,7 @@ def _is_sound(root, height, less):
         level = below
 
 
-def _report_tree(root, height, less):
+def _report_tree(root, height):
     """validate_tree's reporting walk, for a tree that failed the fast
     pass: _report_node on every node it reaches, once, level by level."""
     problems = []
@@ -299,7 +302,7 @@ def _report_tree(root, height, less):
         count += len(level)
         below = []
         for node in level:
-            _report_node(node, depth, height, less, problems, seen, below)
+            _report_node(node, depth, height, problems, seen, below)
         level = below
         depth += 1
     expected = (1 << (height + 1)) - 1
@@ -309,7 +312,7 @@ def _report_tree(root, height, less):
     return problems
 
 
-def _report_node(node, depth, height, less, problems, seen, below):
+def _report_node(node, depth, height, problems, seen, below):
     """validate_tree's messages for one node of a tree that failed the
     fast pass; none for a node without a fault of its own.
 
@@ -337,7 +340,7 @@ def _report_node(node, depth, height, less, problems, seen, below):
         if child.parent is not node:
             problems.append(
                 f"child {child.key!r} does not link back to {node.key!r}")
-        if less(child.key, node.key):
+        if child.key < node.key:
             problems.append(
                 f"heap order broken: child {child.key!r} under parent "
                 f"{node.key!r}")

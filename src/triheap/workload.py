@@ -16,7 +16,6 @@ A generated script carries its seed as a "# seed=<n>" comment.
 from __future__ import annotations
 
 import heapq
-import operator
 import random
 import re
 from dataclasses import dataclass, field
@@ -255,9 +254,8 @@ class QueueRunner:
     never move between nodes, so every handle survives.
     """
 
-    def __init__(self, policy=None, less=operator.lt, keep_records=False,
-                 keep_events=False):
-        self.queue = Queue(policy=policy, less=less, keep_records=keep_records,
+    def __init__(self, policy=None, keep_records=False, keep_events=False):
+        self.queue = Queue(policy=policy, keep_records=keep_records,
                            keep_events=keep_events)
         self.handles = []
 

@@ -78,6 +78,50 @@ def test_verdict_fails_on_a_missing_run():
         "sort-eager: 1 parent runs gave no result"]
 
 
+def traced_pairs(seeds, failed=None):
+    """Traced sort-eager pairs whose change side reads the parent's
+    forest.fix.self_us_per_op times 1.1, value 10 * seed on the parent;
+    the change run on seed failed, when given, fails an op."""
+    pairs = {}
+    for seed in seeds:
+        pairs[seed] = {}
+        for side in ab.SIDES:
+            change = side == "change"
+            value = 10.0 * seed * (1.1 if change else 1)
+            pairs[seed][side] = {"result": {
+                "correct": True, "attempted": 100,
+                "failed": int(change and seed == failed),
+                "metrics": {"forest.fix.self_us_per_op":
+                            {"value": value, "unit": "us/op"}}}}
+    return pairs
+
+
+def test_traced_pairs_give_medians_quartiles_and_per_seed_values():
+    (name, m), = ab.layers(traced_pairs([1, 2, 4])).items()
+    assert name == "forest.fix.self_us_per_op"
+    assert m["parent"] == {"median": 20.0, "q1": 15.0, "q3": 30.0,
+                           "min": 10.0, "max": 40.0}
+    assert m["change"]["median"] == pytest.approx(22.0)
+    assert m["change"]["q1"] == pytest.approx(16.5)
+    assert m["change"]["q3"] == pytest.approx(33.0)
+    assert m["per_seed"]["4"] == {"parent": 40.0,
+                                  "change": pytest.approx(44.0)}
+    assert list(m["per_seed"]) == ["1", "2", "4"]
+    traced = {"sort-eager": traced_pairs([1, 2, 4])}
+    assert ab.verdict(synthetic(), traced, same_counts=True) == []
+
+
+def test_verdict_fails_on_a_failed_traced_run():
+    traced = {"sort-eager": traced_pairs([1, 2, 4], failed=2)}
+    assert ab.verdict(synthetic(), traced, same_counts=True) == [
+        "sort-eager: traced change run on seed 2 failed"]
+    traced["sort-eager"][4]["parent"]["result"] = None
+    assert ab.verdict(synthetic(), traced, same_counts=True)[1] == \
+        "sort-eager: traced parent run on seed 4 failed"
+    assert list(ab.layers(traced["sort-eager"])["forest.fix.self_us_per_op"]
+                ["per_seed"]) == ["1", "2"]
+
+
 GIT = ["git", "-c", "user.name=ab", "-c", "user.email=ab@localhost"]
 
 
@@ -110,15 +154,17 @@ def run_ab(repo, *args):
 def test_same_commit_against_itself(tmp_path):
     """A real run of one commit against itself, in a repository of its own
     holding this tree's src/ and perfbench/ and a BENCHMARK.json trimmed to
-    sort-eager: every run gives a result, no op fails, and the counts are
-    equal, the traced carries included.  Wall-time medians of one-round runs can differ by
-    more than their bounds on a shared host, so the wall-time bound is
-    left to test_verdict_fails_on_a_median_worse_than_its_bound."""
+    sort-eager: every run gives a result, no op fails, the counts are
+    equal, the carries of the two traced pairs included, and the side that
+    goes first alternates, in the traced pairs too.  Wall-time medians of
+    one-round runs can differ by more than their bounds on a shared host,
+    so the wall-time bound is left to
+    test_verdict_fails_on_a_median_worse_than_its_bound."""
     repo = bench_repo(tmp_path)
     commit_all(repo, "tree")
     out = tmp_path / "ab.json"
     proc = run_ab(repo, "HEAD", "HEAD", "--seeds", "1-2", "--seconds", "0",
-                  "--same-counts", "--traced", "3", "--out", out)
+                  "--same-counts", "--traced", "3-4", "--out", out)
     doc = json.loads(out.read_text())
     failures = doc["verdict"]["failures"]
     assert proc.returncode == (1 if failures else 0)
@@ -128,15 +174,20 @@ def test_same_commit_against_itself(tmp_path):
     assert s["pairs"] == 2 and s["failed_ops"] == {"parent": 0, "change": 0}
     assert s["comparisons_per_op"]["equal_pairs"] == 2
     carries = doc["per_layer"]["sort-eager"]["forest.fix.carries_per_op"]
-    assert carries["parent"] == carries["change"] > 0
+    assert carries["parent"] == carries["change"]
+    assert carries["parent"]["median"] > 0
+    assert list(carries["per_seed"]) == ["3", "4"]
+    firsts = [line.split()[2] for line in proc.stderr.splitlines()
+              if line.startswith("# ")][::2]
+    assert firsts == ["parent", "change", "parent", "change"]
     assert set(doc["records"]["change"]) == {
         "sort-eager.seed1.trace0", "sort-eager.seed2.trace0",
-        "sort-eager.seed3.trace1"}
+        "sort-eager.seed3.trace1", "sort-eager.seed4.trace1"}
     assert not (repo / ".git" / "worktrees").exists()
 
 
 def test_planted_extra_comparison_fails_same_counts(tmp_path):
-    """A parent commit whose Queue.insert makes one extra comparison,
+    """A parent commit whose Queue.insert charges one extra comparison,
     against this tree: --same-counts fails on comparisons_per_op, which
     the change lowers by the 10,000 inserts over 20,000 ops."""
     repo = bench_repo(tmp_path)
@@ -145,7 +196,7 @@ def test_planted_extra_comparison_fails_same_counts(tmp_path):
     anchor = "        node = Node(key, payload)\n"  # in Queue.insert only
     assert real.count(anchor) == 1
     queue_py.write_text(real.replace(
-        anchor, anchor + "        self.comparator(key, key)\n"))
+        anchor, anchor + "        self.comparator.count += 1\n"))
     commit_all(repo, "planted: one extra comparison per insert")
     queue_py.write_text(real)
     commit_all(repo, "tree")

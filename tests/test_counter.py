@@ -4,7 +4,7 @@ import pytest
 
 from triheap.counter import SkewCounter
 from triheap.forest import FixPolicy, Forest
-from triheap.tree import CountingComparator
+from triheap.tree import ComparisonCounter
 from triheap.workload import QueueRunner, generate_script
 
 from conftest import singleton
@@ -49,12 +49,12 @@ def test_counter_matches_forest_insert_only():
                    FixPolicy("relaxed", relaxed_budget=3)):
         c = SkewCounter(policy)
         f = Forest(policy)
-        less = CountingComparator()
+        counter = ComparisonCounter()
         carries = 0
         for k in range(1, 2001):
             c.increment()
             f.add_root(singleton(k), 0)
-            carries += f.fix(less)
+            carries += f.fix(counter)
             assert f.digits() == c.digits, f"step {k} under {policy}"
             assert carries == c.carries, f"step {k} under {policy}"
 

@@ -7,7 +7,7 @@ import pytest
 from triheap import forest as forest_module
 from triheap.errors import ContractViolation, EmptyQueueError
 from triheap.forest import FixPolicy, Forest
-from triheap.tree import CountingComparator, PerfectTree
+from triheap.tree import ComparisonCounter, PerfectTree
 
 from conftest import build_perfect_heap, singleton
 
@@ -19,8 +19,8 @@ def forest_with_singletons(n, policy=None):
     return f
 
 
-def cmp():
-    return CountingComparator()
+def counter():
+    return ComparisonCounter()
 
 
 def phi_prime(f):
@@ -55,7 +55,7 @@ class TestFixEager:
 
     def test_three_singletons(self):
         f = forest_with_singletons(3)
-        assert f.fix(cmp()) == 1
+        assert f.fix(counter()) == 1
         assert f.digits() == [0, 1]
 
     def test_three_height1_trees(self, rng):
@@ -63,7 +63,7 @@ class TestFixEager:
         for i in range(3):
             tree = build_perfect_heap(range(10 * i, 10 * i + 3), rng)
             f.add_root(tree.root, 1)
-        assert f.fix(cmp()) == 1
+        assert f.fix(counter()) == 1
         assert f.digits() == [2, 0, 1]
         assert f.size == 9
 
@@ -77,7 +77,7 @@ class TestFixEager:
             tree = build_perfect_heap(range(10 * i, 10 * i + 3), rng)
             f.add_root(tree.root, 1)
         before = phi_prime(f)
-        carries = f.fix(cmp())
+        carries = f.fix(counter())
         assert carries == 2
         assert f.digits() == [1, 1, 1]
         assert before - phi_prime(f) == carries
@@ -85,7 +85,7 @@ class TestFixEager:
 
     def test_fixpoint_is_noop(self):
         f = forest_with_singletons(2)
-        assert f.fix(cmp()) == 0
+        assert f.fix(counter()) == 0
         assert f.digits() == [2]
 
     def test_no_singleton_carry_means_phi_drop_equals_count(self, rng):
@@ -96,14 +96,14 @@ class TestFixEager:
             tree = build_perfect_heap(range(10 * i, 10 * i + 3), rng)
             f.add_root(tree.root, 1)
         before = f.height_sum()
-        carries = f.fix(cmp())
+        carries = f.fix(counter())
         assert carries == 1
         assert before - f.height_sum() == carries
 
     def test_singleton_carry_raises_height_sum(self):
         f = forest_with_singletons(3)
         assert f.height_sum() == 0
-        f.fix(cmp())
+        f.fix(counter())
         assert f.height_sum() == 1  # the uniform drop only holds for h >= 1
 
     def test_digit_bound_and_log_tree_count(self, rng):
@@ -112,7 +112,7 @@ class TestFixEager:
         for _ in range(2000):
             f.add_root(singleton(rng.randrange(10_000)), 0)
             n += 1
-            f.fix(cmp())
+            f.fix(counter())
             assert f.max_digit() <= 2
             assert f.tree_count() <= 2 * (n + 1).bit_length() - 2
         assert f.validate() == []
@@ -124,7 +124,7 @@ class TestFixEager:
             r = random.Random(99)
             for _ in range(500):
                 f.add_root(singleton(r.randrange(100)), 0)
-                f.fix(cmp())
+                f.fix(counter())
             digit_runs.append((f.digits(),
                                [n.key for h in sorted(f.buckets)
                                 for n in f.buckets[h]]))
@@ -142,7 +142,7 @@ def replay_fixes(script, scan):
     scan is set, so the general scan does every carry.  Each fix must
     leave validate() empty.
     """
-    f, less, out = Forest(), cmp(), []
+    f, counted, out = Forest(), counter(), []
     for step in script:
         if step[0] == "file":
             for h, seed in step[1]:
@@ -159,9 +159,9 @@ def replay_fixes(script, scan):
         elif step[0] == "fix":
             if scan:
                 f.pending = forest_module.SCAN
-            carries = f.fix(less)
+            carries = f.fix(counted)
             assert f.validate() == [], f"step {len(out)}"
-            out.append((carries, less.count,
+            out.append((carries, counted.count,
                         [[root.key for root in bucket] for bucket in f.roots]))
     return out
 
@@ -221,30 +221,30 @@ class TestFixRelaxed:
 
     def test_budget_spends_one_step(self):
         f = forest_with_singletons(4, self.relaxed())
-        assert f.fix(cmp()) == 1
+        assert f.fix(counter()) == 1
         assert f.digits() == [1, 1]
 
     def test_digit_four_is_legal(self):
         f = forest_with_singletons(6, self.relaxed())
-        assert f.fix(cmp()) == 1
+        assert f.fix(counter()) == 1
         assert f.digits() == [3, 1]
         assert f.max_digit() <= 4
 
     def test_hard_cap_at_five(self):
         f = forest_with_singletons(8, self.relaxed())
-        assert f.fix(cmp()) == 2  # one budget step, then the >= 5 cap
+        assert f.fix(counter()) == 2  # one budget step, then the >= 5 cap
         assert f.digits() == [2, 2]
 
     def test_bigger_budget(self):
         f = forest_with_singletons(7, self.relaxed(budget=2))
-        assert f.fix(cmp()) == 2
+        assert f.fix(counter()) == 2
         assert f.digits() == [1, 2]
 
     def test_bound_holds_over_random_adds(self, rng):
         f = Forest(self.relaxed())
         for _ in range(2000):
             f.add_root(singleton(rng.randrange(10_000)), 0)
-            f.fix(cmp())
+            f.fix(counter())
             assert f.max_digit() <= 4
         assert f.validate() == []
 
@@ -254,7 +254,7 @@ class TestFixRelaxed:
             for _ in range(300):
                 f.add_root(singleton(rng.randrange(100)), 0)
                 before = phi_prime(f)
-                carries = f.fix(cmp())
+                carries = f.fix(counter())
                 assert before - phi_prime(f) == carries
 
 
@@ -262,10 +262,10 @@ class TestScanMin:
 
     def test_single_tree(self):
         f = forest_with_singletons(1)
-        less = cmp()
-        h, root = f.scan_min(less)
+        counted = counter()
+        h, root = f.scan_min(counted)
         assert (h, root) == (0, f.roots[0][0]) and root.key == 0
-        assert less.count == 0
+        assert counted.count == 0
 
     def test_min_across_heights(self, rng):
         f = Forest()
@@ -273,7 +273,7 @@ class TestScanMin:
         t = build_perfect_heap([2, 5, 9], rng)
         f.add_root(t.root, t.height)
         f.add_root(singleton(9), 0)
-        h, root = f.scan_min(cmp())
+        h, root = f.scan_min(counter())
         assert (h, root.key) == (1, 2)
 
     def test_tie_prefers_lower_height(self, rng):
@@ -281,14 +281,14 @@ class TestScanMin:
         low = singleton(3)
         f.add_root(low, 0)
         f.add_root(build_perfect_heap([3, 4, 5, 6, 7, 8, 9], rng).root, 2)
-        assert f.scan_min(cmp()) == (0, low)
+        assert f.scan_min(counter()) == (0, low)
 
     def test_tie_prefers_earlier_position(self):
         f = Forest()
         first = singleton(3)
         f.add_root(first, 0)
         f.add_root(singleton(3), 0)
-        _, root = f.scan_min(cmp())
+        _, root = f.scan_min(counter())
         assert root is first
 
     def test_comparison_count(self, rng):
@@ -296,13 +296,13 @@ class TestScanMin:
         for _ in range(7):
             f.add_root(singleton(rng.randrange(100)), 0)
         f.add_root(build_perfect_heap(range(3), rng).root, 1)
-        less = cmp()
-        f.scan_min(less)
-        assert less.count == f.tree_count() - 1
+        counted = counter()
+        f.scan_min(counted)
+        assert counted.count == f.tree_count() - 1
 
     def test_empty_raises(self):
         with pytest.raises(EmptyQueueError):
-            Forest().scan_min(cmp())
+            Forest().scan_min(counter())
 
 
 class TestDigits:
@@ -313,12 +313,12 @@ class TestDigits:
 
     def test_three_adds_then_fix(self):
         f = forest_with_singletons(3)
-        f.fix(cmp())
+        f.fix(counter())
         assert f.digits() == [0, 1]
 
     def test_size_conservation_after_ten(self):
         f = forest_with_singletons(10)
-        f.fix(cmp())
+        f.fix(counter())
         assert sum(d * (2 ** (h + 1) - 1)
                    for h, d in enumerate(f.digits())) == 10
 
@@ -340,12 +340,12 @@ class TestPolicy:
 
 def test_full_validate_checks_each_tree_through_validate_tree(rng,
                                                                monkeypatch):
-    """Forest.validate(full=True) hands every tree, as a PerfectTree of its
-    own height, to the module-level validate_tree exactly once; the traced
+    """Forest.validate hands every tree, as a PerfectTree of its own
+    height, to the module-level validate_tree exactly once; the traced
     benchmark run times and counts the tree audit at that name."""
     seen = []
 
-    def counting_stub(tree, less):
+    def counting_stub(tree):
         seen.append(tree)
         return []
 
@@ -355,9 +355,7 @@ def test_full_validate_checks_each_tree_through_validate_tree(rng,
              for size in (1, 1, 3, 15)]
     for t in trees:
         f.add_root(t.root, t.height)
-    assert f.validate(full=False) == []
-    assert seen == []
-    assert f.validate(full=True) == []
+    assert f.validate() == []
     assert all(type(t) is PerfectTree for t in seen)
     assert [(t.root, t.height) for t in seen] == [
         (t.root, t.height) for t in trees]
@@ -374,5 +372,4 @@ def test_root_filed_twice_is_reported(rng):
     f.add_root(twice, 1)
     assert f.digits() == [0, 2, 1]
     expected = [f"root {twice.key!r} is filed twice"]
-    assert f.validate(full=False) == expected
-    assert f.validate(full=True) == expected
+    assert f.validate() == expected

@@ -6,7 +6,7 @@ from triheap.errors import LedgerError
 from triheap.forest import FixPolicy, Forest
 from triheap.ledger import PotentialLedger
 from triheap.queue import Queue
-from triheap.tree import CountingComparator
+from triheap.tree import ComparisonCounter
 from triheap.workload import QueueRunner, generate_script
 
 from conftest import build_perfect_heap, singleton
@@ -28,7 +28,7 @@ def fix_with_ledger(forest):
     """Charge the forest's height sum to a fresh ledger, then fix."""
     ledger = CallCountingLedger()
     ledger.record_structural("adopt", forest.height_sum())
-    forest.fix(CountingComparator(), ledger)
+    forest.fix(ComparisonCounter(), ledger)
     return ledger
 
 

@@ -14,11 +14,27 @@ from triheap.errors import (ContractViolation, EmptyQueueError,
                             InvalidHandleError)
 from triheap.forest import SCAN, FixPolicy, Forest
 from triheap.queue import Queue
-from triheap.tree import CountingComparator, detach_root
+from triheap.tree import ComparisonCounter, detach_root
 from triheap.workload import QueueRunner, generate_script
 
 from conftest import CountedKey, build_perfect_heap
 from test_workload import MELD_SPLIT_HEAVY
+
+
+class Picky(CountedKey):
+    """A key whose < raises ValueError between -1 and 1."""
+
+    __slots__ = ()
+
+    def __lt__(self, other):
+        if {self.value, other.value} == {-1, 1}:
+            raise ValueError("planted")
+        return self.value < other.value
+
+
+def values(q):
+    """The values of the Picky keys in q's trees, sorted."""
+    return sorted(k.value for t in q.forest.trees() for k in t.keys())
 
 
 def reference_carry_heights(digits, policy):
@@ -251,32 +267,6 @@ class TestMeld:
         with pytest.raises(ContractViolation):
             a.meld(b)
 
-    def test_equal_comparators_meld(self):
-        # Two bound methods of one object are equal but not identical.
-        class Order:
-            def lt(self, a, b):
-                return a < b
-
-        order = Order()
-        a = Queue(less=order.lt)
-        b = Queue(less=order.lt)
-        a.insert(1)
-        b.insert(2)
-        assert a.meld(b) is a
-        assert [a.delete_min()[0] for _ in range(2)] == [1, 2]
-        assert a.validate() == []
-
-    def test_different_comparators_rejected(self):
-        a = Queue()
-        b = Queue(less=lambda x, y: x > y)
-        a.insert(1)
-        b.insert(2)
-        with pytest.raises(ContractViolation,
-                           match="meld across different comparators"):
-            a.meld(b)
-        assert a.alive and b.alive
-        assert len(a) == len(b) == 1
-
     def test_consumed_queue_unusable(self):
         a = Queue()
         b = Queue()
@@ -399,7 +389,6 @@ class TestSplit:
         assert (q.ledger.records[-1].op, q.ledger.records[-1].structural_delta,
                 other.ledger.records[-1].structural_delta) == \
             ("split", -moved, moved)
-        assert other.comparator.raw_less is q.comparator.raw_less
         assert other.comparator.count == 0
 
     def test_keeps_queue_type_and_policy(self):
@@ -654,43 +643,32 @@ class TestDecreaseKey:
         ((-1,), "increase check"),
     ])
     def test_raising_comparator_closes_its_op(self, keys, where):
-        # picky raises on {-1, 1}; decreasing the last key to -1 meets 1
+        # Picky raises on {-1, 1}; decreasing the last key to -1 meets 1
         # in sift_up, after one swap with 7 (one height-2 tree rooted at 1)
         # or at once (one height-1 tree rooted at 1), or in the increase
         # check.
-        def picky(a, b):
-            if {a, b} == {-1, 1}:
-                raise ValueError("planted")
-            return a < b
-
-        q = Queue(less=picky, keep_records=True)
-        handles = [q.insert(k) for k in keys]
+        q = Queue(keep_records=True)
+        handles = [q.insert(Picky(k)) for k in keys]
         q.find_min()
         new_key = 1 if where == "increase check" else -1
         with pytest.raises(ValueError):
-            q.decrease_key(handles[-1], new_key)
+            q.decrease_key(handles[-1], Picky(new_key))
         assert q.comparator.count == q.ledger.comparisons
         assert q.ledger.records[-1].op == "decrease_key"
-        assert not [p for p in q.validate(full=False) if "counted" in p]
+        assert not [p for p in q.validate() if "counted" in p]
 
     def test_raise_in_sift_rolls_back(self):
-        # picky raises on {-1, 1}: the sift of -1 meets the root 1 and
+        # Picky raises on {-1, 1}: the sift of -1 meets the root 1 and
         # raises; the element goes back where it was, with its old key.
-        def picky(a, b):
-            if {a, b} == {-1, 1}:
-                raise ValueError("planted")
-            return a < b
-
-        q = Queue(less=picky)
-        q.insert(1)
-        h = q.insert(5)
-        q.insert(7)
+        q = Queue()
+        q.insert(Picky(1))
+        h = q.insert(Picky(5))
+        q.insert(Picky(7))
         with pytest.raises(ValueError):
-            q.decrease_key(h, -1)
+            q.decrease_key(h, Picky(-1))
         assert q.validate() == []
-        assert h.key == 5 and h.node.parent is q.forest.roots[1][0]
-        assert sorted(k for t in q.forest.trees() for k in t.keys()) == \
-            [1, 5, 7]
+        assert h.key == Picky(5) and h.node.parent is q.forest.roots[1][0]
+        assert values(q) == [1, 5, 7]
 
     def test_equal_key_allowed(self):
         q = Queue()
@@ -792,7 +770,7 @@ class TestSize:
 
 def fresh_scan(q):
     """scan_min's choice right now, on a counter of its own."""
-    return q.forest.scan_min(CountingComparator(q.comparator.raw_less))
+    return q.forest.scan_min(ComparisonCounter())
 
 
 class TestMinCache:
@@ -858,7 +836,7 @@ class TestMinCache:
                 other = q.split(rng.random())
                 assert q.cached_min is None and other.cached_min is None
                 for half in (q, other):
-                    assert half.validate(full=False) == []
+                    assert half.validate() == []
                 for half in (q, other):
                     if len(half) and rng.random() < 0.5:
                         half.find_min()
@@ -884,7 +862,7 @@ class TestMinCache:
                 assert q.cached_min is before
             cached = q.cached_min
             assert cached is None or cached == fresh_scan(q)
-            assert q.validate(full=False) == []
+            assert q.validate() == []
         assert q.validate() == [] and foreign.validate() == []
         assert sorted(h.key for h in foreign_handles) == \
             sorted(k for t in foreign.forest.trees() for k in t.keys())
@@ -895,23 +873,25 @@ class TestMinCache:
 
     def test_inconsistent_carry_drops_the_cache(self):
         """The carry of a 5, cached before the inserts, with 7 and 9 meets
-        a comparator that lies once, on its first call, that 7 < 5: 7
-        adopts 5, and the queue must not keep a root that is now a
-        child."""
+        keys whose < lies once, on its first call, that 7 < 5: 7 adopts 5,
+        and the queue must not keep a root that is now a child."""
         calls = []
 
-        def liar(a, b):
-            calls.append((a, b))
-            return True if len(calls) == 1 else a < b
+        class Liar(CountedKey):
+            __slots__ = ()
 
-        q = Queue(less=liar)
-        five = q.insert(5).node
+            def __lt__(self, other):
+                calls.append((self.value, other.value))
+                return len(calls) == 1 or self.value < other.value
+
+        q = Queue()
+        five = q.insert(Liar(5)).node
         q.find_min()
-        q.insert(7)
-        q.insert(9)
+        q.insert(Liar(7))
+        q.insert(Liar(9))
         assert calls[0] == (7, 5) and five.parent is q.forest.roots[1][0]
         assert q.cached_min is None
-        assert q.delete_min()[0] == 7
+        assert q.delete_min()[0] == Liar(7)
         assert q.validate() == []
 
     def test_upkeep_costs(self):
@@ -1021,42 +1001,37 @@ class TestMinCache:
         for k in (1, 2, 3):
             q.insert(k)
         q.comparator.count += 1
-        assert q.validate(full=False) == [
+        assert q.validate() == [
             "comparator counted 3 comparisons, ledger 2"]
 
 
 @pytest.mark.parametrize("op", ["insert", "delete_min", "delete", "meld"])
 def test_raising_carry_closes_the_op_record(op):
-    """Each op's carry meets -1 and 1, on which the comparator raises; the
+    """Each op's carry meets the Picky keys -1 and 1, whose < raises; the
     op's record is still closed, with the phi and comparisons of the
     moment, and no element is lost."""
-    def picky(a, b):
-        if {a, b} == {-1, 1}:
-            raise ValueError("planted")
-        return a < b
-
-    q = Queue(less=picky, keep_records=True)
+    q = Queue(keep_records=True)
     if op == "insert":
-        q.insert(1)
-        q.insert(2)
+        q.insert(Picky(1))
+        q.insert(Picky(2))
         keys = [1, 2, -1]
     elif op == "meld":
-        q.insert(1)
-        q.insert(2)
-        other = Queue(less=picky, keep_records=True)
-        other.insert(-1)
+        q.insert(Picky(1))
+        q.insert(Picky(2))
+        other = Queue(keep_records=True)
+        other.insert(Picky(-1))
         keys = [1, 2, -1]
     else:
         # Root -2 over -1 and 7, and a singleton 1: removing -2 files -1
         # and 7 beside 1, and their carry compares -1 with 1.
-        root = q.insert(-2)
-        q.insert(-1)
-        q.insert(7)
-        q.insert(1)
+        root = q.insert(Picky(-2))
+        q.insert(Picky(-1))
+        q.insert(Picky(7))
+        q.insert(Picky(1))
         keys = [1, -1, 7]
     with pytest.raises(ValueError):
         if op == "insert":
-            q.insert(-1)
+            q.insert(Picky(-1))
         elif op == "meld":
             q.meld(other)
         elif op == "delete":
@@ -1066,8 +1041,7 @@ def test_raising_carry_closes_the_op_record(op):
     rec = q.ledger.records[-1]
     assert (rec.op, rec.fixes, rec.phi_after) == (op, 0, q.ledger.phi)
     assert q.comparator.count == q.ledger.comparisons
-    assert sorted(k for t in q.forest.trees() for k in t.keys()) == \
-        sorted(keys)
+    assert values(q) == sorted(keys)
     assert q.validate() == ["digit 3 at height 0 exceeds bound 2"]
 
 
@@ -1101,12 +1075,22 @@ def test_relaxed_policy_end_to_end(rng):
 
 
 def test_custom_comparator_max_heap():
-    q = Queue(less=lambda a, b: a > b)
+    """Another order comes from the keys' own <: here a key class that
+    reverses it.  The queue takes no comparator."""
+    class Reversed(CountedKey):
+        __slots__ = ()
+
+        def __lt__(self, other):
+            return self.value > other.value
+
+    q = Queue()
     for k in (3, 9, 1):
-        q.insert(k)
-    assert q.find_min()[0] == 9
-    assert [q.delete_min()[0] for _ in range(3)] == [9, 3, 1]
+        q.insert(Reversed(k))
+    assert q.find_min()[0] == Reversed(9)
+    assert [q.delete_min()[0].value for _ in range(3)] == [9, 3, 1]
     assert q.validate() == []
+    with pytest.raises(TypeError):
+        Queue(less=lambda a, b: a > b)
 
 
 def test_parallel_queues_are_independent():

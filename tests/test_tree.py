@@ -1,22 +1,24 @@
 """Tree-core: singletons, rearrangement, root detaching, sift-up, validate."""
 
-import operator
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 from triheap import Queue, tree as tree_module
-from triheap.tree import (CountingComparator, Handle, Node, PerfectTree,
+from triheap.tree import (ComparisonCounter, Handle, Node, PerfectTree,
                           detach_root, rearrange_roots, sift_to_root, sift_up,
                           validate_tree)
 
-from conftest import (build_perfect_heap, link_snapshot, perfect_size,
-                      singleton, tree_keys)
+from conftest import (CountedKey, build_perfect_heap, link_snapshot,
+                      perfect_size, singleton, tree_keys)
 
 
-def cmp():
-    return CountingComparator()
+def counted_heap(keys, rng):
+    """build_perfect_heap over CountedKey keys, with the count set to 0."""
+    t = build_perfect_heap([CountedKey(k) for k in keys], rng)
+    CountedKey.calls = 0
+    return t
 
 
 def carried(out, h):
@@ -64,15 +66,15 @@ class TestRearrange:
     """rearrange_roots on three equal-height roots."""
 
     def test_three_singletons(self):
-        r1, r2, r3 = singleton(5), singleton(3), singleton(9)
-        less = cmp()
-        top, left, right = rearrange_roots(r1, r2, r3, less)
+        r1, r2, r3 = (singleton(CountedKey(k)) for k in (5, 3, 9))
+        CountedKey.calls = 0
+        top, left, right = rearrange_roots(r1, r2, r3)
+        assert CountedKey.calls == 2
         assert left is None and right is None
         assert top is r2
-        assert top.key == 3
-        assert top.left.key == 5
-        assert top.right.key == 9
-        assert less.count == 2
+        assert top.key == CountedKey(3)
+        assert top.left.key == CountedKey(5)
+        assert top.right.key == CountedKey(9)
         assert validate_tree(PerfectTree(top, 1)) == []
 
     def test_height2_sizes(self, rng):
@@ -80,7 +82,7 @@ class TestRearrange:
         trees = [build_perfect_heap(range(i * 10, i * 10 + 7), rng)
                  for i in range(3)]
         all_keys = sorted(k for t in trees for k in tree_keys(t))
-        big, leftovers = carried(rearrange_roots(*roots(trees), cmp()), 2)
+        big, leftovers = carried(rearrange_roots(*roots(trees)), 2)
         assert big.height == 3 and big.size == 15
         assert [t.height for t in leftovers] == [1, 1]
         assert 7 + 7 + 7 == 15 + 3 + 3
@@ -95,35 +97,34 @@ class TestRearrange:
                  for _ in range(3)]
         before = sum(t.height for t in trees)
         assert before == 6
-        big, leftovers = carried(rearrange_roots(*roots(trees), cmp()), 2)
+        big, leftovers = carried(rearrange_roots(*roots(trees)), 2)
         after = big.height + sum(t.height for t in leftovers)
         assert after == 5
         assert after - before == -1
 
     def test_tie_earliest_argument_wins(self):
         r1, r2, r3 = singleton(4), singleton(4), singleton(8)
-        top, _, _ = rearrange_roots(r1, r2, r3, cmp())
+        top, _, _ = rearrange_roots(r1, r2, r3)
         assert top is r1
         u1, u2, u3 = singleton(8), singleton(4), singleton(4)
-        top, _, _ = rearrange_roots(u1, u2, u3, cmp())
+        top, _, _ = rearrange_roots(u1, u2, u3)
         assert top is u2
 
     def test_child_order_follows_arguments(self):
         # Minimum in the middle: children are (r1, r3); at the end: (r1, r2).
         r1, r2, r3 = singleton(5), singleton(1), singleton(9)
-        top, _, _ = rearrange_roots(r1, r2, r3, cmp())
+        top, _, _ = rearrange_roots(r1, r2, r3)
         assert (top.left, top.right) == (r1, r3)
         u1, u2, u3 = singleton(5), singleton(9), singleton(1)
-        top, _, _ = rearrange_roots(u1, u2, u3, cmp())
+        top, _, _ = rearrange_roots(u1, u2, u3)
         assert (top.left, top.right) == (u1, u2)
 
     def test_exactly_two_comparisons(self, rng):
         for h in (0, 1, 2):
-            trees = [build_perfect_heap(rng.sample(range(999), perfect_size(h)),
-                                        rng) for _ in range(3)]
-            less = cmp()
-            rearrange_roots(*roots(trees), less)
-            assert less.count == 2
+            trees = [counted_heap(rng.sample(range(999), perfect_size(h)),
+                                  rng) for _ in range(3)]
+            rearrange_roots(*roots(trees))
+            assert CountedKey.calls == 2
 
     def test_touches_only_the_three_roots(self, rng):
         trees = [build_perfect_heap(rng.sample(range(10_000), 15), rng)
@@ -132,7 +133,7 @@ class TestRearrange:
         for t in trees:
             before.update(link_snapshot(t))
         allowed = {id(root) for root in roots(trees)}
-        big, leftovers = carried(rearrange_roots(*roots(trees), cmp()), 3)
+        big, leftovers = carried(rearrange_roots(*roots(trees)), 3)
         allowed |= {id(t.root) for t in leftovers}
         details = {}
         for t in (big, *leftovers):
@@ -149,7 +150,7 @@ class TestRearrange:
         trees = [build_perfect_heap(rng.sample(range(500), 7), rng)
                  for _ in range(3)]
         handles = {n.handle: n.key for t in trees for n in t.nodes()}
-        rearrange_roots(*roots(trees), cmp())
+        rearrange_roots(*roots(trees))
         for handle, key in handles.items():
             assert handle.alive and handle.node.key == key
 
@@ -189,17 +190,18 @@ class TestSplitRoot:
             assert validate_tree(l) == []
 
     def test_no_comparisons(self, rng):
-        t = build_perfect_heap(rng.sample(range(100), 15), rng)
-        detach_root(t.root)  # takes no comparator: it never compares keys
+        t = counted_heap(rng.sample(range(100), 15), rng)
+        detach_root(t.root)
+        assert CountedKey.calls == 0
 
 
 class TestSiftUp:
 
     def test_root_is_noop(self):
         root = singleton(5)
-        less = cmp()
-        sift_up(root, less)
-        assert less.count == 0
+        counter = ComparisonCounter()
+        sift_up(root, counter)
+        assert counter.count == 0
         assert root.key == 5
 
     def test_one_forced_swap(self):
@@ -210,9 +212,9 @@ class TestSiftUp:
         five.left, five.right = two, seven
         two.parent = seven.parent = five
         h2 = two.handle
-        less = cmp()
-        sift_up(two, less)
-        assert less.count == 1
+        counter = ComparisonCounter()
+        sift_up(two, counter)
+        assert counter.count == 1
         assert five.key == 2 and two.key == 5
         assert h2.node is five and h2.key == 2
 
@@ -221,32 +223,37 @@ class TestSiftUp:
         leaf = next(n for n in t.nodes() if n.left is None)
         handle = leaf.handle
         leaf.key = -1  # below every key in the tree
-        sift_up(leaf, cmp())
+        sift_up(leaf, ComparisonCounter())
         assert t.root.key == -1
         assert handle.node is t.root
         assert validate_tree(t) == []
 
     def test_raising_less_undoes_every_swap(self, rng):
-        """A leaf lowered below everything climbs two levels, then less
-        raises; every content swap is undone and the handles follow."""
+        """A leaf lowered below everything climbs two levels, then its
+        < raises; every content swap is undone and the handles follow.
+        The raising comparison is counted too."""
+        class ThirdRaises(CountedKey):
+            """Below every key, until its third < raises."""
+
+            __slots__ = ()
+
+            def __lt__(self, other):
+                CountedKey.calls += 1
+                if CountedKey.calls == 3:
+                    raise ValueError("planted")
+                return True
+
         t = build_perfect_heap(list(range(10, 25)), rng)
         before = link_snapshot(t)
         leaf = next(n for n in t.nodes() if n.left is None)
         handles = [n.handle for n in t.nodes()]
         key = leaf.key
-        leaf.key = -1
-        calls = 0
-
-        def less(a, b):
-            nonlocal calls
-            calls += 1
-            if calls == 3:
-                raise ValueError("planted")
-            return a < b
-
+        leaf.key = ThirdRaises(-1)
+        CountedKey.calls = 0
+        counter = ComparisonCounter()
         with pytest.raises(ValueError):
-            sift_up(leaf, less)
-        assert calls == 3
+            sift_up(leaf, counter)
+        assert CountedKey.calls == counter.count == 3
         leaf.key = key
         assert link_snapshot(t) == before
         assert all(h.node.handle is h for h in handles)
@@ -268,7 +275,7 @@ class TestValidate:
     def test_rearrange_outputs_pass(self, rng):
         trees = [build_perfect_heap(rng.sample(range(100), 7), rng)
                  for _ in range(3)]
-        big, leftovers = carried(rearrange_roots(*roots(trees), cmp()), 2)
+        big, leftovers = carried(rearrange_roots(*roots(trees)), 2)
         for t in (big, *leftovers):
             assert validate_tree(t) == []
 
@@ -464,25 +471,30 @@ def test_a_link_back_to_the_root_is_reported_once(height, rng):
     """The last internal node of the left spine gets the root as its left
     child, closing a cycle (a self-loop at height 1).  The walk reports
     that link, does not follow it, and counts the leaf it replaced as
-    lost.  The comparator fails the test if the walk does not end."""
+    lost.  The keys' < fails the test if the walk does not end."""
+    class Bounded(CountedKey):
+        __slots__ = ()
+
+        def __lt__(self, other):
+            assert CountedKey.calls < 4 * perfect_size(height), \
+                "the walk goes on"
+            return super().__lt__(other)
+
     t = build_perfect_heap(list(range(perfect_size(height))), rng)
+    for n in t.nodes():
+        n.key = Bounded(n.key)
+    CountedKey.calls = 0
     node = t.root
     for _ in range(height - 1):
         node = node.left
     node.left = t.root
-    calls = []
-
-    def bounded(a, b):
-        calls.append(None)
-        assert len(calls) < 4 * perfect_size(height), "the walk goes on"
-        return a < b
 
     expected = [f"child 0 does not link back to {node.key!r}",
                 _count_message(t, perfect_size(height) - 1)]
     if node is not t.root:
         expected.append(f"heap order broken: child 0 under parent "
                         f"{node.key!r}")
-    assert sorted(validate_tree(t, bounded)) == sorted(expected)
+    assert sorted(validate_tree(t)) == sorted(expected)
 
 
 @given(height=st.integers(0, 5), seed=st.integers(0, 2 ** 20),
@@ -506,10 +518,10 @@ def test_fast_pass_agrees_with_the_reporting_walk(height, seed, picks):
         except AttributeError:
             pass  # an earlier corruption cut the path or the plant's message
     try:
-        sound = tree_module._is_sound(t.root, t.height, operator.lt)
+        sound = tree_module._is_sound(t.root, t.height)
     except AttributeError:
         sound = False
-    report = tree_module._report_tree(t.root, t.height, operator.lt)
+    report = tree_module._report_tree(t.root, t.height)
     assert sound == (report == [])
     assert validate_tree(t) == report
 
@@ -522,18 +534,16 @@ def test_a_sound_tree_is_walked_once(monkeypatch, rng):
 
     monkeypatch.setattr(tree_module, "_report_node", reported)
     for height in range(6):
-        t = build_perfect_heap(rng.sample(range(1000), perfect_size(height)),
-                               rng)
-        less = cmp()
-        assert validate_tree(t, less) == []
-        assert less.count == perfect_size(height) - 1
+        t = counted_heap(rng.sample(range(1000), perfect_size(height)), rng)
+        assert validate_tree(t) == []
+        assert CountedKey.calls == perfect_size(height) - 1
     q = Queue()
     for key in rng.sample(range(10 ** 6), 600):
         q.insert(key)
     for _ in range(50):
         q.delete_min()
     assert q.forest.tree_count() > 1 and q.validate() == []
-    t.root.key = 10 ** 6
+    t.root.key = CountedKey(10 ** 6)
     with pytest.raises(AssertionError, match="reporting walk"):
         validate_tree(t)
 
@@ -552,7 +562,7 @@ def test_randomized_storm_conserves_everything(rng):
             h = rng.choice(heights)
             rs = by_height[h]
             picks = [rs.pop(rng.randrange(len(rs))) for _ in range(3)]
-            big, leftovers = carried(rearrange_roots(*picks, cmp()), h)
+            big, leftovers = carried(rearrange_roots(*picks), h)
             assert validate_tree(big) == []
             by_height.setdefault(h + 1, []).append(big.root)
             for l in leftovers:
@@ -592,12 +602,12 @@ def test_randomized_storm_conserves_everything(rng):
 def test_rearrange_properties(h, seed, base):
     rng = random.Random(seed)
     size = perfect_size(h)
-    trees = [build_perfect_heap(base[i * size:(i + 1) * size], rng)
+    trees = [counted_heap(base[i * size:(i + 1) * size], rng)
              for i in range(3)]
     in_keys = sorted(k for t in trees for k in tree_keys(t))
-    less = cmp()
-    big, leftovers = carried(rearrange_roots(*roots(trees), less), h)
-    assert less.count == 2
+    CountedKey.calls = 0
+    big, leftovers = carried(rearrange_roots(*roots(trees)), h)
+    assert CountedKey.calls == 2
     assert big.height == h + 1
     if h == 0:
         assert leftovers == ()
