@@ -93,12 +93,12 @@ class PerfectTree:
 
 
 class ComparisonCounter:
-    """The count of key comparisons a queue has made, in the comparison
-    model.
+    """The count of key comparisons a queue made, in the comparison model.
 
     It compares nothing itself: each function that compares keys takes a
     counter and adds what it compared, in bulk after the work (a carry's 2,
-    a scan's trees - 1) or one before each < (a sift step).
+    a scan's trees - 1) or 1 before each < (a sift step, decrease_key's
+    increase check).
     """
 
     __slots__ = ("count",)
@@ -243,7 +243,7 @@ def validate_tree(t):
     try:
         if _is_sound(root, t.height):
             return []
-    except AttributeError:  # one a key's < raised is raised again below
+    except AttributeError:  # if a key's < raised it, it is raised again below
         pass
     return _report_tree(root, t.height)
 
