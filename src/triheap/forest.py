@@ -4,7 +4,8 @@ The forest is the queue's whole state: a dense list whose entry h is the
 list of trees of height h.  Read the bucket sizes as digits of a positional
 number system with place values 2**(h+1) - 1 (Okasaki's skew binary
 numbers); fix() is then carry propagation, three same-height trees being
-traded for one taller tree (and two shorter ones) via the rearrangement step.
+traded for one taller tree (and two shorter ones) via the rearrangement step,
+which fix() does inline (tree.rearrange_roots is its reference).
 
 Internally a bucket holds bare root nodes; the height lives once in the
 list index instead of once per tree, which keeps the carry path free of
@@ -17,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ContractViolation, EmptyQueueError
+# fix does the step inline; the traced benchmark wraps rearrange_roots here.
 from .tree import PerfectTree, rearrange_roots, validate_tree
 
 EAGER = "eager"
@@ -151,12 +153,13 @@ class Forest:
         other.size = 0
 
     def find_root(self, root):
-        """Locate the tree rooted at this node, in one pass that compares
-        by identity; returns (height, index)."""
+        """Locate the tree rooted at this node; returns (height, index).
+
+        Node defines no __eq__, so in and index test identity, in C, and
+        never touch a key."""
         for h, bucket in enumerate(self.roots):
-            for i, filed in enumerate(bucket):
-                if filed is root:
-                    return h, i
+            if root in bucket:
+                return h, bucket.index(root)
         raise ContractViolation("node does not root any tree of this forest")
 
     def digits(self):
@@ -226,6 +229,14 @@ class Forest:
           The threshold is 3; under relaxed it becomes 5, and the scan
           restarts from height 0, once relaxed_budget carries are done.
 
+        A carry is the rearrangement step, done inline with no call: of
+        the bucket's first three roots r1, r2, r3 it compares r2 < r1, then
+        r3 against the winner (exactly two <, ties to the earlier root);
+        the smallest adopts the other two in bucket order, and its former
+        children are filed at h - 1, in order.  A filed root has no
+        parent, so the top keeps None.  tree.rearrange_roots is the
+        reference for this step.
+
         Each carry compares its three roots before it unlinks them, so a
         key whose < raises leaves every tree in the forest, and pending at
         SCAN.  counter is charged in bulk with 2 per completed carry, also
@@ -259,9 +270,23 @@ class Forest:
                         break
                     h += 1
                     continue
-                top, left, right = rearrange_roots(bucket[0], bucket[1],
-                                                   bucket[2])
+                r1, r2, r3 = bucket[0], bucket[1], bucket[2]
+                if r2.key < r1.key:
+                    if r3.key < r2.key:
+                        top, first, second = r3, r1, r2
+                    else:
+                        top, first, second = r2, r1, r3
+                elif r3.key < r1.key:
+                    top, first, second = r3, r1, r2
+                else:
+                    top, first, second = r1, r2, r3
                 del bucket[:3]
+                left = top.left
+                right = top.right
+                top.left = first
+                top.right = second
+                first.parent = top
+                second.parent = top
                 if h + 1 < n:
                     roots[h + 1].append(top)
                 else:
@@ -275,6 +300,8 @@ class Forest:
                     if walk:
                         h = 1
                 else:
+                    left.parent = None
+                    right.parent = None
                     below = roots[h - 1]
                     below += left, right
                     if events is not None:

@@ -3,12 +3,15 @@
 Everything here is link-based: a tree is a root node whose height is kept
 by whoever files it (the forest keeps it as a bucket index), and all
 restructuring moves nodes (or node contents) around without copying
-elements.  Keys are ordered by their own <, as heapq orders them.  The one
-nontrivial operation is rearrange_roots(), which makes the smallest of
-three equal-height roots adopt the other two and release its former
-children: one taller tree and two shorter leftovers, in constant time and
-exactly two key comparisons.  detach_root() removes a root and
-frees its two subtrees, heap-ordered as they stand, with no comparison.
+elements.  Keys are ordered by their own <, as heapq orders them.  The
+paper's one nontrivial operation is the rearrangement step, written out
+here as rearrange_roots(): the smallest of three equal-height roots adopts
+the other two and releases its former children, giving one taller tree
+and two shorter leftovers, in constant time and exactly two key
+comparisons.  Forest.fix does the same step inline, with no call per
+carry; rearrange_roots() is the reference its tests compare it against.
+detach_root() removes a root and frees its two subtrees, heap-ordered as
+they stand, with no comparison.
 PerfectTree pairs a root with its height as a read-only view, for
 iteration and validate_tree().
 """
@@ -108,7 +111,7 @@ class ComparisonCounter:
 
 
 def rearrange_roots(r1, r2, r3):
-    """The rearrangement step, on three equal-height root nodes.
+    """The paper's rearrangement step, on three equal-height root nodes.
 
     The smallest of the three root nodes (two < comparisons, which the
     caller counts; ties keep the earliest argument) adopts the other two
@@ -117,6 +120,11 @@ def rearrange_roots(r1, r2, r3):
     children change; no element is copied, so every handle stays valid.
     Returns (top, old_left, old_right); the old children are None for
     singleton inputs.
+
+    Forest.fix does this step inline, on a bucket's first three roots in
+    bucket order, so this function is the reference that fix is tested
+    against.  forest keeps importing the name because the traced benchmark
+    run wraps it there.
     """
     top = r1
     if r2.key < top.key:

@@ -1,5 +1,6 @@
 """Forest: bucket bookkeeping, fix scheduling under both policies, scan_min."""
 
+import itertools
 import random
 
 import pytest
@@ -7,9 +8,9 @@ import pytest
 from triheap import forest as forest_module
 from triheap.errors import ContractViolation, EmptyQueueError
 from triheap.forest import FixPolicy, Forest
-from triheap.tree import ComparisonCounter, PerfectTree
+from triheap.tree import ComparisonCounter, PerfectTree, rearrange_roots
 
-from conftest import build_perfect_heap, singleton
+from conftest import CountedKey, build_perfect_heap, perfect_size, singleton
 
 
 def forest_with_singletons(n, policy=None):
@@ -129,6 +130,62 @@ class TestFixEager:
                                [n.key for h in sorted(f.buckets)
                                 for n in f.buckets[h]]))
         assert digit_runs[0] == digit_runs[1]
+
+
+def three_roots(h, pattern):
+    """Three height-h heaps whose roots hold pattern's keys, in order, and
+    a label (tree, preorder position) for every node; calls with equal
+    arguments build identical copies."""
+    trees = []
+    for i, key in enumerate(pattern):
+        rest = range(100 * (i + 1), 100 * (i + 1) + perfect_size(h) - 1)
+        keys = [CountedKey(key)] + [CountedKey(k) for k in rest]
+        trees.append(build_perfect_heap(keys, random.Random(i)))
+    label = {id(node): (i, pos) for i, t in enumerate(trees)
+             for pos, node in enumerate(t.nodes())}
+    return [t.root for t in trees], label
+
+
+def carry_shape(top, released, label):
+    """Labels of the top, its children and the released pair, each with
+    its parent's label."""
+    nodes = [top, top.left, top.right, *released]
+    return [(label[id(node)],
+             None if node.parent is None else label[id(node.parent)])
+            for node in nodes]
+
+
+@pytest.mark.parametrize("pattern", list(itertools.product(range(3),
+                                                           repeat=3)))
+@pytest.mark.parametrize("h", range(4))
+def test_fix_carries_like_rearrange_roots(h, pattern, monkeypatch):
+    """fix's inline step on a bucket of exactly three roots picks the same
+    top as rearrange_roots on an identical copy (ties to the earlier
+    root), adopts the other two in bucket order, files the released pair
+    at h - 1 in order and charges 2, from two < calls and no call to
+    rearrange_roots."""
+    def no_call(*args):
+        raise AssertionError("fix called rearrange_roots")
+
+    monkeypatch.setattr(forest_module, "rearrange_roots", no_call)
+    roots, label = three_roots(h, pattern)
+    f = Forest()
+    for root in roots:
+        f.add_root(root, h)
+    counted = counter()
+    CountedKey.calls = 0
+    assert f.fix(counted) == 1
+    assert (counted.count, CountedKey.calls) == (2, 2)
+    assert f.digits() == ([0, 1] if h == 0 else [0] * (h - 1) + [2, 0, 1])
+    [top] = f.roots[h + 1]
+    released = f.roots[h - 1] if h else []
+
+    ref_roots, ref_label = three_roots(h, pattern)
+    ref_top, left, right = rearrange_roots(*ref_roots)
+    ref_released = [left, right] if h else []
+    assert (carry_shape(top, released, label)
+            == carry_shape(ref_top, ref_released, ref_label))
+    assert f.validate() == []
 
 
 def replay_fixes(script, scan):

@@ -1005,22 +1005,27 @@ class TestMinCache:
             "comparator counted 3 comparisons, ledger 2"]
 
 
-@pytest.mark.parametrize("op", ["insert", "delete_min", "delete", "meld"])
-def test_raising_carry_closes_the_op_record(op):
+@pytest.mark.parametrize("op, keys", [
+    pytest.param("insert", [1, 2, -1], id="insert"),
+    # 1 < 2 holds, so the carry raises at its second comparison, -1 < 1.
+    pytest.param("insert", [2, 1, -1], id="insert-second-comparison"),
+    pytest.param("delete_min", [1, -1, 7], id="delete_min"),
+    pytest.param("delete", [1, -1, 7], id="delete"),
+    pytest.param("meld", [1, 2, -1], id="meld"),
+])
+def test_raising_carry_closes_the_op_record(op, keys):
     """Each op's carry meets the Picky keys -1 and 1, whose < raises; the
     op's record is still closed, with the phi and comparisons of the
     moment, and no element is lost."""
     q = Queue(keep_records=True)
     if op == "insert":
-        q.insert(Picky(1))
-        q.insert(Picky(2))
-        keys = [1, 2, -1]
+        q.insert(Picky(keys[0]))
+        q.insert(Picky(keys[1]))
     elif op == "meld":
         q.insert(Picky(1))
         q.insert(Picky(2))
         other = Queue(keep_records=True)
         other.insert(Picky(-1))
-        keys = [1, 2, -1]
     else:
         # Root -2 over -1 and 7, and a singleton 1: removing -2 files -1
         # and 7 beside 1, and their carry compares -1 with 1.
@@ -1028,10 +1033,9 @@ def test_raising_carry_closes_the_op_record(op):
         q.insert(Picky(-1))
         q.insert(Picky(7))
         q.insert(Picky(1))
-        keys = [1, -1, 7]
     with pytest.raises(ValueError):
         if op == "insert":
-            q.insert(Picky(-1))
+            q.insert(Picky(keys[2]))
         elif op == "meld":
             q.meld(other)
         elif op == "delete":
