@@ -19,6 +19,9 @@ which contribution_sum returns, so the identity
 holds by construction.  With phi >= 0 and phi audited against the height
 sum, it is the form of "amortized time bounds actual time" for runs that
 start from an empty queue.
+
+Comparisons are counted once, on the queue's ComparisonCounter; a record
+keeps only its op's share of that count.
 """
 
 from dataclasses import dataclass
@@ -44,20 +47,19 @@ class OpRecord:
 
 
 class PotentialLedger:
-    """Running phi, rearrangement count, comparison count, per-op records.
+    """Running phi, rearrangement count, per-op records.
 
     Record keeping is optional: keep_records stores one OpRecord per public
-    operation, keep_events one (input_height, delta) pair per rearrangement,
-    appended by Forest.fix.
-    The aggregate counters are always maintained and always exact.
+    operation, with its share of the queue's comparisons, keep_events one
+    (input_height, delta) pair per rearrangement, appended by Forest.fix.
+    phi and rearrangements are always maintained and always exact.
     """
 
-    __slots__ = ("phi", "rearrangements", "comparisons", "records", "events")
+    __slots__ = ("phi", "rearrangements", "records", "events")
 
     def __init__(self, keep_records=False, keep_events=False):
         self.phi = 0
         self.rearrangements = 0
-        self.comparisons = 0
         self.records = [] if keep_records else None
         self.events = [] if keep_events else None
 
@@ -92,8 +94,8 @@ class PotentialLedger:
             self.records.append(OpRecord(op, delta, phi_before=before))
 
     def finish_op(self, fixes, comparisons):
-        """Close the most recent operation record with its work counters."""
-        self.comparisons += comparisons
+        """Close the most recent operation record, if records are kept,
+        with its work counters."""
         if self.records is not None:
             rec = self.records[-1]
             rec.fixes = fixes
@@ -109,7 +111,6 @@ class PotentialLedger:
         self.phi += other.phi
         other.phi = 0
         self.rearrangements += other.rearrangements
-        self.comparisons += other.comparisons
         if self.records is not None and other.records:
             self.records.extend(other.records)
         if self.events is not None and other.events:

@@ -22,7 +22,8 @@ class Queue:
 
     Keys are ordered by their own <, as heapq orders them; another order
     takes a key class with its own __lt__.  comparator is the
-    ComparisonCounter of the key comparisons the queue's ops made.
+    ComparisonCounter of the key comparisons the queue's ops made, the
+    queue's one comparison count; a ledger record keeps its op's share.
 
     cached_min is None or the (height, root) that Forest.scan_min would
     return right now, ties included.  It serves a read pair: find_min scans
@@ -163,10 +164,11 @@ class Queue:
         belong to this queue; that is checked before any comparison.  The
         op's record is closed on every path, a rejected key increase or a
         raising key comparison included, with the comparisons made by then
-        (the increase check counts 1, before its <).  A comparison that
-        raises inside the sift leaves the element where it was, with its
-        old key.  A cached minimum is dropped when the sift reached a root
-        other than the cached one, and kept otherwise.
+        (the increase check counts 1, before its <).  sift_up writes
+        new_key only once its comparisons are done, so one that raises
+        leaves the element where it was, with its old key.  A cached
+        minimum is dropped when the sift reached a root other than the
+        cached one, and kept otherwise.
         """
         self._require_alive()
         node = self._live_node(handle)
@@ -174,17 +176,11 @@ class Queue:
         c0 = self.comparator.count
         self.ledger.record_structural("decrease_key", 0)
         try:
-            old_key = node.key
             self.comparator.count += 1
-            if old_key < new_key:
+            if node.key < new_key:
                 raise ContractViolation(
-                    f"decrease_key to {new_key!r} would raise {old_key!r}")
-            node.key = new_key
-            try:
-                top = sift_up(node, self.comparator)
-            except BaseException:
-                node.key = old_key
-                raise
+                    f"decrease_key to {new_key!r} would raise {node.key!r}")
+            top = sift_up(node, self.comparator, new_key)
             cached = self.cached_min
             if cached is not None and top is root and root is not cached[1]:
                 self.cached_min = None
@@ -261,13 +257,12 @@ class Queue:
         return self
 
     def validate(self):
-        """Diagnostics over forest structure and ledger agreement.
+        """Diagnostics over forest structure, cached minimum and ledger.
 
         Walks every tree (perfectness, heap order, handles), a sound one
         once, in validate_tree's fast pass, and checks the buckets, sizes
         and digits, the cached minimum against a fresh scan on a separate
-        counter, the ledger, and the comparator's count against the
-        ledger's.
+        counter, and the ledger's phi.
         """
         forest = self.forest
         problems = forest.validate()
@@ -279,8 +274,4 @@ class Queue:
             problems.append(f"cached minimum {root.key!r} at height {h} "
                             f"is not scan_min's choice")
         problems.extend(self.ledger.audit(forest))
-        if self.comparator.count != self.ledger.comparisons:
-            problems.append(
-                f"comparator counted {self.comparator.count} comparisons, "
-                f"ledger {self.ledger.comparisons}")
         return problems

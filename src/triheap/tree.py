@@ -182,34 +182,30 @@ def _swap_contents(a, b):
         b.handle.node = b
 
 
-def sift_up(node, counter):
-    """Bubble a possibly-too-small element toward the root.
+def sift_up(node, counter, key):
+    """Lower node's key to key and restore heap order upward; returns the
+    node now holding the element.
 
-    Contents (never links) are swapped, so the tree shape stays trivially
-    perfect and the handles follow their elements.  At most h comparisons,
-    each charged to counter before its <; stops at the first ancestor that
-    is not larger.  If a < raises, the swaps made so far are undone, top
-    down, before the error propagates, so every element is back where it
-    started.
+    key is compared with node's ancestors, bottom up, each comparison
+    charged to counter before its <, up to the first that is not larger:
+    at most h comparisons.  Only then does anything move: node takes key,
+    and contents (never links) are swapped up to the highest ancestor key
+    beat, so the tree shape stays trivially perfect and the handles follow
+    their elements.  A < that raises has moved nothing.
     """
-    start = node
+    top = node
     parent = node.parent
-    try:
-        while parent is not None:
-            counter.count += 1
-            if not node.key < parent.key:
-                break
-            _swap_contents(node, parent)
-            node = parent
-            parent = node.parent
-    except BaseException:
-        while node is not start:
-            below = start
-            while below.parent is not node:
-                below = below.parent
-            _swap_contents(below, node)
-            node = below
-        raise
+    while parent is not None:
+        counter.count += 1
+        if not key < parent.key:
+            break
+        top = parent
+        parent = parent.parent
+    node.key = key
+    while node is not top:
+        parent = node.parent
+        _swap_contents(node, parent)
+        node = parent
     return node
 
 

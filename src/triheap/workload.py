@@ -127,9 +127,6 @@ class _Pool:
     def __len__(self):
         return len(self.items)
 
-    def __contains__(self, item):
-        return item in self.pos
-
     def add(self, item):
         self.pos[item] = len(self.items)
         self.items.append(item)
@@ -291,7 +288,7 @@ class QueueRunner:
         """One StatsRecord snapshot of the current queue state."""
         q = self.queue
         return StatsRecord(op_index, op_name, q.forest.size, q.ledger.phi,
-                           q.ledger.rearrangements, q.ledger.comparisons,
+                           q.ledger.rearrangements, q.comparator.count,
                            q.forest.digits())
 
 

@@ -1,5 +1,5 @@
-"""Shared test helpers: brute-force tree construction, key extraction and
-a key class that counts its comparisons.
+"""Shared test helpers: brute-force tree construction, key extraction, a
+key class that counts its comparisons and a check on per-op comparisons.
 
 build_perfect_heap wires nodes together by hand (min key at the root, the
 rest split randomly between the two subtrees), so it is an independent way
@@ -88,6 +88,13 @@ def link_snapshot(tree):
     return {id(node): (node.parent, node.left, node.right, node.key,
                        node.handle)
             for node in tree.nodes()}
+
+
+def assert_comparisons_recorded(q):
+    """q's records (q must keep them) share out its comparator's count
+    exactly: no comparison was charged outside a public op."""
+    assert sum(r.comparisons for r in q.ledger.records) == \
+        q.comparator.count
 
 
 @pytest.fixture

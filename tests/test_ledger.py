@@ -9,7 +9,7 @@ from triheap.queue import Queue
 from triheap.tree import ComparisonCounter
 from triheap.workload import QueueRunner, generate_script
 
-from conftest import build_perfect_heap, singleton
+from conftest import assert_comparisons_recorded, build_perfect_heap, singleton
 
 
 class CallCountingLedger(PotentialLedger):
@@ -125,8 +125,7 @@ def test_structural_examples():
     led.finish_op(0, 0)
     assert led.phi == 4
     assert [r.structural_delta for r in led.records] == [0, 3, 1, 0]
-    assert led.records[2].comparisons == 5
-    assert led.comparisons == 5
+    assert [r.comparisons for r in led.records] == [0, 0, 5, 0]
 
 
 def test_amortized_cost_per_record():
@@ -174,6 +173,17 @@ def test_audit_every_boundary_10k():
             assert runner.queue.ledger.audit(runner.queue.forest) == []
 
 
+def test_a_charge_outside_any_op_fails_the_records_sum():
+    q = Queue(keep_records=True)
+    for k in (5, 3, 9, 1):
+        q.insert(k)
+    q.find_min()
+    assert_comparisons_recorded(q)
+    q.comparator.count += 1
+    with pytest.raises(AssertionError):
+        assert_comparisons_recorded(q)
+
+
 def test_absorb_merges_counters():
     a = PotentialLedger(keep_records=True)
     b = PotentialLedger(keep_records=True)
@@ -184,7 +194,7 @@ def test_absorb_merges_counters():
     b.finish_op(0, 3)
     a.absorb(b)
     assert a.phi == 2 + 4 - 1
-    assert a.comparisons == 4
+    assert [r.comparisons for r in a.records] == [1, 3]
     assert sum(r.structural_delta for r in a.records) == 6
     assert len(a.records) == 2
     assert a.rearrangements == a.contribution_sum - a.phi

@@ -17,7 +17,8 @@ from triheap.queue import Queue
 from triheap.tree import ComparisonCounter, detach_root
 from triheap.workload import QueueRunner, generate_script
 
-from conftest import CountedKey, build_perfect_heap
+from conftest import (CountedKey, assert_comparisons_recorded,
+                      build_perfect_heap)
 from test_workload import MELD_SPLIT_HEAVY
 
 
@@ -126,7 +127,7 @@ class TestInsert:
         assert [k for t in q.forest.trees() for k in t.keys()] == [1, 2, "x"]
         rec = q.ledger.records[-1]
         assert (rec.op, rec.fixes, rec.phi_after) == ("insert", 0, q.ledger.phi)
-        assert q.comparator.count == q.ledger.comparisons
+        assert_comparisons_recorded(q)
         assert q.validate() == ["digit 3 at height 0 exceeds bound 2"]
 
     def test_payload_round_trip(self):
@@ -275,16 +276,35 @@ class TestMeld:
             b.insert(1)
 
     def test_consumed_queue_hands_its_phi_over(self):
-        a = Queue()
-        b = Queue()
+        a = Queue(keep_records=True)
+        b = Queue(keep_records=True)
         for k in range(5):
             b.insert(k)
         phi = b.ledger.phi
         assert phi > 0
         a.meld(b)
         assert (a.ledger.phi, b.ledger.phi) == (phi, 0)
-        assert b.comparator.count == b.ledger.comparisons
+        assert_comparisons_recorded(b)
+        assert_comparisons_recorded(a)
         assert b.validate() == [] and a.validate() == []
+
+    def test_melded_records_share_out_both_counts(self):
+        """Both queues compared before the meld; the result's records (its
+        own, the consumed queue's and the meld's) sum to its count."""
+        a = Queue(keep_records=True)
+        b = Queue(keep_records=True)
+        for k in (4, 8, 1, 6, 2):
+            a.insert(k)
+        for k in (7, 3, 9, 5, 0):
+            b.insert(k)
+        b.find_min()
+        before = a.comparator.count, b.comparator.count
+        assert all(before)
+        a.meld(b)
+        rec = a.ledger.records[-1]
+        assert rec.op == "meld" and rec.comparisons > 0
+        assert a.comparator.count == sum(before) + rec.comparisons
+        assert_comparisons_recorded(a)
 
     def test_handles_from_both_sides_stay_valid(self):
         a = Queue()
@@ -631,7 +651,8 @@ class TestDecreaseKey:
         h = q.insert(5)
         with pytest.raises(ContractViolation):
             q.decrease_key(h, 6)
-        assert q.comparator.count == q.ledger.comparisons == 1
+        assert q.comparator.count == 1
+        assert_comparisons_recorded(q)
         rec = q.ledger.records[-1]
         assert (rec.op, rec.fixes, rec.comparisons) == ("decrease_key", 0, 1)
         assert q.validate() == []
@@ -653,9 +674,9 @@ class TestDecreaseKey:
         new_key = 1 if where == "increase check" else -1
         with pytest.raises(ValueError):
             q.decrease_key(handles[-1], Picky(new_key))
-        assert q.comparator.count == q.ledger.comparisons
+        assert_comparisons_recorded(q)
         assert q.ledger.records[-1].op == "decrease_key"
-        assert not [p for p in q.validate() if "counted" in p]
+        assert q.validate() == []
 
     def test_raise_in_sift_rolls_back(self):
         # Picky raises on {-1, 1}: the sift of -1 meets the root 1 and
@@ -677,18 +698,17 @@ class TestDecreaseKey:
         assert q.find_min()[0] == 5
 
     def test_foreign_handle_rejected_before_any_comparison(self):
-        a = Queue()
+        a = Queue(keep_records=True)
         b = Queue()
         handles = [b.insert(k) for k in range(9)]
         a.insert(10)
         a.insert(11)
         count = a.comparator.count
-        charged = a.ledger.comparisons
         assert handles[7].node.parent is not None  # a sift would move it
         with pytest.raises(ContractViolation):
             a.decrease_key(handles[7], -1)
         assert a.comparator.count == count
-        assert a.ledger.comparisons == charged
+        assert_comparisons_recorded(a)
         assert a.validate() == []
         assert b.validate() == []
         assert [b.delete_min()[0] for _ in range(9)] == list(range(9))
@@ -996,14 +1016,6 @@ class TestMinCache:
         assert q.validate() == [
             "cached minimum 1 at height 1 is not scan_min's choice"]
 
-    def test_validate_reports_comparison_drift(self):
-        q = Queue()
-        for k in (1, 2, 3):
-            q.insert(k)
-        q.comparator.count += 1
-        assert q.validate() == [
-            "comparator counted 3 comparisons, ledger 2"]
-
 
 @pytest.mark.parametrize("op, keys", [
     pytest.param("insert", [1, 2, -1], id="insert"),
@@ -1044,7 +1056,7 @@ def test_raising_carry_closes_the_op_record(op, keys):
             q.delete_min()
     rec = q.ledger.records[-1]
     assert (rec.op, rec.fixes, rec.phi_after) == (op, 0, q.ledger.phi)
-    assert q.comparator.count == q.ledger.comparisons
+    assert_comparisons_recorded(q)
     assert values(q) == sorted(keys)
     assert q.validate() == ["digit 3 at height 0 exceeds bound 2"]
 
@@ -1162,7 +1174,7 @@ def test_forest_over_the_bound_is_scanned_after_a_raising_carry(queue_cls):
     """The carry of 1, 2 and "x" raises and leaves digit 0 at 3.  Every
     later fix scans, so every op that reaches one raises again, with the
     same sizes as a queue that always scans."""
-    q = queue_cls()
+    q = queue_cls(keep_records=True)
     handle = q.insert(1)
     two = q.insert(2)
     with pytest.raises(TypeError):
@@ -1177,7 +1189,7 @@ def test_forest_over_the_bound_is_scanned_after_a_raising_carry(queue_cls):
     with pytest.raises(TypeError):
         q.delete(handle)  # removes a singleton; the fix after it scans
     assert len(q) == 3 and q.forest.digits() == [3]
-    assert q.comparator.count == q.ledger.comparisons
+    assert_comparisons_recorded(q)
     with pytest.raises(TypeError):
         q.insert(4)
     moved = q.split(0.0)  # the new queue takes the unfinished scan over

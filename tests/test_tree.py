@@ -200,63 +200,66 @@ class TestSiftUp:
     def test_root_is_noop(self):
         root = singleton(5)
         counter = ComparisonCounter()
-        sift_up(root, counter)
+        sift_up(root, counter, 3)
         assert counter.count == 0
-        assert root.key == 5
+        assert root.key == 3
 
     def test_one_forced_swap(self):
-        # Hand-built pre-sift state: root 5 above children 2 and 7.
+        # Hand-built heap: root 5 above children 6 and 7; 6 is lowered to 2.
         five = singleton(5)
-        two = singleton(2)
+        six = singleton(6)
         seven = singleton(7)
-        five.left, five.right = two, seven
-        two.parent = seven.parent = five
-        h2 = two.handle
+        five.left, five.right = six, seven
+        six.parent = seven.parent = five
+        h6 = six.handle
         counter = ComparisonCounter()
-        sift_up(two, counter)
+        assert sift_up(six, counter, 2) is five
         assert counter.count == 1
-        assert five.key == 2 and two.key == 5
-        assert h2.node is five and h2.key == 2
+        assert five.key == 2 and six.key == 5
+        assert h6.node is five and h6.key == 2
 
     def test_decreased_leaf_reaches_root(self, rng):
         t = build_perfect_heap(rng.sample(range(10, 500), 15), rng)
         leaf = next(n for n in t.nodes() if n.left is None)
         handle = leaf.handle
-        leaf.key = -1  # below every key in the tree
-        sift_up(leaf, ComparisonCounter())
+        sift_up(leaf, ComparisonCounter(), -1)  # below every key in the tree
         assert t.root.key == -1
         assert handle.node is t.root
         assert validate_tree(t) == []
 
-    def test_raising_less_undoes_every_swap(self, rng):
-        """A leaf lowered below everything climbs two levels, then its
-        < raises; every content swap is undone and the handles follow.
-        The raising comparison is counted too."""
-        class ThirdRaises(CountedKey):
-            """Below every key, until its third < raises."""
+    @pytest.mark.parametrize("raises_at", [1, 2, 3, 4])
+    def test_raising_less_moves_nothing(self, rng, raises_at):
+        """A leaf of a height-4 tree is lowered to a key below every key,
+        whose < raises at comparison raises_at of the 4 its sift would
+        make.  Links, keys (the leaf's included) and handles are as they
+        were, with nothing restored by the test, and the raising
+        comparison is counted too."""
+        class Raises(CountedKey):
+            """Below every key, until its raises_at-th < raises."""
 
             __slots__ = ()
 
             def __lt__(self, other):
                 CountedKey.calls += 1
-                if CountedKey.calls == 3:
+                if CountedKey.calls == raises_at:
                     raise ValueError("planted")
                 return True
 
-        t = build_perfect_heap(list(range(10, 25)), rng)
+        t = build_perfect_heap(list(range(10, 41)), rng)
+        nodes = list(t.nodes())
         before = link_snapshot(t)
-        leaf = next(n for n in t.nodes() if n.left is None)
-        handles = [n.handle for n in t.nodes()]
-        key = leaf.key
-        leaf.key = ThirdRaises(-1)
+        keys = [n.key for n in nodes]
+        handles = [n.handle for n in nodes]
+        leaf = next(n for n in nodes if n.left is None)
         CountedKey.calls = 0
         counter = ComparisonCounter()
         with pytest.raises(ValueError):
-            sift_up(leaf, counter)
-        assert CountedKey.calls == counter.count == 3
-        leaf.key = key
+            sift_up(leaf, counter, Raises(-1))
+        assert CountedKey.calls == counter.count == raises_at
         assert link_snapshot(t) == before
-        assert all(h.node.handle is h for h in handles)
+        assert [n.key for n in nodes] == keys
+        assert all(n.handle is h and h.node is n
+                   for n, h in zip(nodes, handles))
         assert validate_tree(t) == []
 
     def test_sift_to_root_uses_no_comparisons(self, rng):

@@ -15,6 +15,8 @@ from triheap.workload import (DEFAULT_WEIGHTS, QueueRunner, ScriptParseError,
                               WorkloadScript, format_script, generate_script,
                               parse_script)
 
+from conftest import assert_comparisons_recorded
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -186,6 +188,7 @@ def test_carry_schedule_is_pinned(case):
     assert (q.comparator.count, q.ledger.rearrangements, q.ledger.phi,
             q.forest.digits(), len(q.ledger.records), digest) == \
         CARRY_SCHEDULE[case]
+    assert_comparisons_recorded(q)
 
 
 class TestStats:
