@@ -17,7 +17,8 @@ The output has BENCH_10.json's summary per workload (medians, quartiles by
 statistics.quantiles(..., method="inclusive"), change_over_parent, better
 and equal pairs, worse_by against the BENCHMARK.json bound), the per-layer
 metrics of the traced pairs (median and quartiles per side, and the value
-per seed), each run's result without its per-round arrays, and the
+per seed; for each *.self_us_per_op span also its share of that run's
+sum of them, which a slow host phase leaves alone), each run's result without its per-round arrays, and the
 verdict.  Exit status 1 when any op failed or a run gave no result, the
 traced runs included, when a median is worse than its bound, or, with
 --same-counts, when comparisons_per_op differs in any pair; else 0.
@@ -144,23 +145,48 @@ def summarize(records, workload, seeds, end_to_end):
     return out
 
 
+SPAN_TIME = ".self_us_per_op"
+
+
+def shares(metrics):
+    """Each *.self_us_per_op span's value over the sum of them in one run's
+    metrics: a host phase that slows every span alike leaves them as they
+    are."""
+    spans = {name: m["value"] for name, m in metrics.items()
+             if name.endswith(SPAN_TIME)}
+    total = sum(spans.values())
+    return {name: v / total if total else 0.0 for name, v in spans.items()}
+
+
 def layers(pairs):
     """Per-layer metrics of one workload's traced pairs, {seed: {side:
-    record}}: per metric, spread() per side and the values per seed.
+    record}}: per metric, spread() per side and the values per seed, and
+    for each *.self_us_per_op span the same of its share (shares()).
     Pairs with a run that gave no result are left out."""
     pairs = {seed: {side: r["result"] for side, r in runs.items()}
              for seed, runs in pairs.items()
              if all(r["result"] is not None for r in runs.values())}
     if not pairs:
         return {}
+    share = {seed: {side: shares(result["metrics"])
+                    for side, result in runs.items()}
+             for seed, runs in pairs.items()}
+
+    def tabulate(read):
+        per_seed = {str(seed): {side: read(seed, side) for side in SIDES}
+                    for seed in pairs}
+        out = {side: spread([v[side] for v in per_seed.values()])
+               for side in SIDES}
+        out["per_seed"] = per_seed
+        return out
+
     out = {}
     for name in next(iter(pairs.values()))["parent"]["metrics"]:
-        per_seed = {str(seed): {side: result["metrics"][name]["value"]
-                                for side, result in runs.items()}
-                    for seed, runs in pairs.items()}
-        out[name] = {side: spread([v[side] for v in per_seed.values()])
-                     for side in SIDES}
-        out[name]["per_seed"] = per_seed
+        out[name] = tabulate(lambda seed, side:
+                            pairs[seed][side]["metrics"][name]["value"])
+        if name.endswith(SPAN_TIME):
+            out[name]["share"] = tabulate(lambda seed, side:
+                                         share[seed][side][name])
     return out
 
 

@@ -65,13 +65,16 @@ class Forest:
     by a raising key comparison, which can leave a digit over the bound).
     """
 
-    __slots__ = ("roots", "size", "policy", "pending")
+    __slots__ = ("roots", "size", "policy", "pending", "budget")
 
     def __init__(self, policy=None):
         self.roots = []
         self.size = 0
         self.policy = policy if policy is not None else FixPolicy()
         self.pending = None
+        # fix's relaxed budget, 0 under eager; read once: policy is frozen.
+        self.budget = (self.policy.relaxed_budget
+                       if self.policy.mode == RELAXED else 0)
 
     @property
     def buckets(self):
@@ -90,12 +93,32 @@ class Forest:
             self.pending = height if self.pending is None else SCAN
 
     def remove_root(self, height, root):
-        """Take root, filed at height, out of the forest (by identity)."""
+        """Remove root, filed at height, and its element; returns the phi
+        change, height - 2, or 0 for a singleton.
+
+        The root's handle dies; its two subtrees, freed, are filed at
+        height - 1, left then right, as two add_root calls would file them
+        (tree.detach_root is the reference).  No comparison; never fixes.
+        """
         roots = self.roots
         roots[height].remove(root)
+        handle = root.handle
+        if handle is not None:
+            handle.node = None
+            root.handle = None
+        left = root.left
+        delta = 0
+        if left is not None:
+            right = root.right
+            left.parent = right.parent = root.left = root.right = None
+            delta = height - 2
+            roots[height - 1] += left, right
+            if self.pending != height - 1:
+                self.pending = height - 1 if self.pending is None else SCAN
         while roots and not roots[-1]:
             roots.pop()
-        self.size -= (1 << (height + 1)) - 1
+        self.size -= 1
+        return delta
 
     def split(self, count, into):
         """Keep the first count trees and move the rest into into, an
@@ -185,25 +208,23 @@ class Forest:
     def scan_min(self, counter):
         """Find a tree with minimal root key; returns (height, root).
 
-        Ties go to the lower height, then the earlier bucket position.
-        Exactly (number of trees - 1) < comparisons, charged to counter in
-        bulk once the scan is done.
+        One pass, with no call per bucket.  Ties go to the lower height,
+        then the earlier bucket position.  Exactly (number of trees - 1) <
+        comparisons, charged to counter in bulk once the scan is done.
         """
-        if self.size == 0:
-            raise EmptyQueueError("scan_min on an empty forest")
-        seen = 0
-        best = None
-        best_key = None
-        best_h = 0
-        for h, bucket in enumerate(self.roots):
-            seen += len(bucket)
+        best = best_key = None
+        h = best_h = compared = -1
+        for bucket in self.roots:
+            h += 1
             for root in bucket:
-                key = root.key
-                if best is None or key < best_key:
-                    best = root
-                    best_key = key
-                    best_h = h
-        counter.count += seen - 1
+                compared += 1
+                if best is None:
+                    best, best_key, best_h = root, root.key, h
+                elif root.key < best_key:
+                    best, best_key, best_h = root, root.key, h
+        if best is None:
+            raise EmptyQueueError("scan_min on an empty forest")
+        counter.count += compared
         return best_h, best
 
     def fix(self, counter, ledger=None):
@@ -220,8 +241,10 @@ class Forest:
           to 3: the one below through the released pair (a removal's chain,
           running down) or else the one above through the new top (an
           insert's chain, running up).  The walk follows that chain from
-          the pending height, so k carries visit k + 1 heights, and none
-          with nothing pending.  Other filings (ten singletons) are scanned.
+          the pending height, so k >= 1 carries visit k + 1 heights; fix
+          returns at once when nothing is pending or the pending height
+          holds fewer than 3 trees.  Other filings (ten singletons) are
+          scanned.
         - The scan, for everything else (meld, the relaxed policy, a forest
           a raising comparison left over the bound): it carries at the
           lowest height whose digit reaches the threshold, then resumes at
@@ -246,18 +269,19 @@ class Forest:
         one (h, delta) event per carry when it keeps events.
         """
         start = self.pending
-        budget = self.policy.relaxed_budget if self.policy.mode == RELAXED else 0
+        budget = self.budget
+        roots = self.roots
+        n = len(roots)
         walk = not budget and start != SCAN
-        if walk and start is None:
+        if walk and (start is None or start >= n or len(roots[start]) < 3):
+            self.pending = None
             return 0
         self.pending = SCAN
-        roots = self.roots
         events = ledger.events if ledger is not None else None
         threshold = 3
         done = 0
         singletons = 0
-        n = len(roots)
-        if walk and start < n:
+        if walk:
             d = len(roots[start])
             walk = d <= 3 and not start or d <= 4 and (
                 start + 1 == n or len(roots[start + 1]) < 2)

@@ -12,6 +12,7 @@ from __future__ import annotations
 from .errors import ContractViolation, InvalidHandleError
 from .forest import FixPolicy, Forest
 from .ledger import PotentialLedger
+# Forest.remove_root inlines detach_root; the traced run wraps it here.
 from .tree import (ComparisonCounter, Handle, Node, detach_root,
                    sift_to_root, sift_up)
 
@@ -83,8 +84,14 @@ class Queue:
     def _fix_op(self, op, delta, c0):
         """Open op's record with its structural delta, run the carries and
         close the record with the carries since then and the comparisons
-        since c0, also when a key comparison raises."""
+        since c0, also when a key comparison raises.  Without records,
+        only a nonzero delta is taken into phi."""
         ledger = self.ledger
+        if ledger.records is None:
+            if delta:
+                ledger.record_structural(op, delta)
+            self._run_fix()
+            return
         ledger.record_structural(op, delta)
         r0 = ledger.rearrangements
         try:
@@ -96,20 +103,13 @@ class Queue:
     def _remove_root(self, op, h, root, c0):
         """The one root-removal path, shared by delete_min and delete.
 
-        The height-h root's two subtrees rejoin the forest as they are, so
-        phi changes by h - 2 (by 0 for a singleton); then carries run.  The
-        cached minimum is dropped.
+        Forest.remove_root takes the height-h root out and files its two
+        subtrees at h - 1, in one call; its phi change (h - 2, or 0 for a
+        singleton) opens the record, then carries run.  The cached minimum
+        is dropped.
         """
         self.cached_min = None
-        forest = self.forest
-        forest.remove_root(h, root)
-        left, right = detach_root(root)
-        delta = 0
-        if left is not None:
-            forest.add_root(left, h - 1)
-            forest.add_root(right, h - 1)
-            delta = h - 2
-        self._fix_op(op, delta, c0)
+        self._fix_op(op, self.forest.remove_root(h, root), c0)
 
     def insert(self, key, payload=None):
         """Add an element as a fresh height-0 tree; returns its handle.
@@ -118,7 +118,8 @@ class Queue:
         accounted separately by the fix machinery.  The cached minimum is
         dropped.
         """
-        self._require_alive()
+        if not self.alive:
+            self._require_alive()
         self.cached_min = None
         c0 = self.comparator.count
         node = Node(key, payload)
@@ -150,7 +151,8 @@ class Queue:
         _remove_root, the path delete shares, which drops the cache.  A scan
         that raises has moved nothing and opened no record.
         """
-        self._require_alive()
+        if not self.alive:
+            self._require_alive()
         c0 = self.comparator.count
         h, root = self.cached_min or self.forest.scan_min(self.comparator)
         self._remove_root("delete_min", h, root, c0)

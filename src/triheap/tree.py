@@ -11,7 +11,7 @@ and two shorter leftovers, in constant time and exactly two key
 comparisons.  Forest.fix does the same step inline, with no call per
 carry; rearrange_roots() is the reference its tests compare it against.
 detach_root() removes a root and frees its two subtrees, heap-ordered as
-they stand, with no comparison.
+they stand, with no comparison; Forest.remove_root does it inline.
 PerfectTree pairs a root with its height as a read-only view, for
 iteration and validate_tree().
 """
@@ -155,7 +155,8 @@ def detach_root(root):
     """Root removal: kills the root's handle, frees its children.
 
     Returns (left, right), both None for a singleton.  No comparisons; the
-    freed subtrees are heap-ordered as they stand.
+    freed subtrees are heap-ordered as they stand.  The reference for
+    Forest.remove_root, which does this inline.
     """
     handle = root.handle
     if handle is not None:

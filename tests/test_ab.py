@@ -111,6 +111,54 @@ def test_traced_pairs_give_medians_quartiles_and_per_seed_values():
     assert ab.verdict(synthetic(), traced, same_counts=True) == []
 
 
+def span_pairs(seeds, scale):
+    """Traced pairs with three spans and a non-span metric; the parent
+    reads 1, 2 and 3 us/op times seed, the change scale[span] times that."""
+    spans = {"forest.fix": 1.0, "forest.scan_min": 2.0, "queue.insert": 3.0}
+    pairs = {}
+    for seed in seeds:
+        pairs[seed] = {}
+        for side in ab.SIDES:
+            metrics = {f"{span}.self_us_per_op": {
+                "value": base * seed * (scale.get(span, 1.0)
+                                        if side == "change" else 1.0),
+                "unit": "us/op"} for span, base in spans.items()}
+            metrics["forest.fix.carries_per_op"] = {"value": 4.0,
+                                                    "unit": "1/op"}
+            pairs[seed][side] = {"result": {"correct": True,
+                                            "attempted": 100, "failed": 0,
+                                            "metrics": metrics}}
+    return pairs
+
+
+def test_span_shares_cancel_a_uniform_slowdown():
+    """Every span 10% slower on the change side: the self times rise, the
+    shares (value over the run's sum of spans) do not move."""
+    slower = {span: 1.1 for span in
+              ("forest.fix", "forest.scan_min", "queue.insert")}
+    out = ab.layers(span_pairs([1, 2, 3], slower))
+    assert "share" not in out["forest.fix.carries_per_op"]
+    for span, base in (("forest.fix", 1), ("forest.scan_min", 2),
+                       ("queue.insert", 3)):
+        m = out[f"{span}.self_us_per_op"]
+        assert m["change"]["median"] == pytest.approx(
+            1.1 * m["parent"]["median"])
+        for side in ab.SIDES:
+            assert m["share"][side]["median"] == pytest.approx(base / 6)
+        assert list(m["share"]["per_seed"]) == ["1", "2", "3"]
+
+
+def test_span_share_rises_when_one_span_doubles():
+    out = ab.layers(span_pairs([1, 2, 3], {"forest.scan_min": 2.0}))
+    share = {span: out[f"{span}.self_us_per_op"]["share"] for span in
+             ("forest.fix", "forest.scan_min", "queue.insert")}
+    assert share["forest.scan_min"]["parent"]["median"] == pytest.approx(2 / 6)
+    assert share["forest.scan_min"]["change"]["median"] == pytest.approx(4 / 8)
+    for span in ("forest.fix", "queue.insert"):
+        assert share[span]["change"]["median"] < \
+            share[span]["parent"]["median"]
+
+
 def test_verdict_fails_on_a_failed_traced_run():
     traced = {"sort-eager": traced_pairs([1, 2, 4], failed=2)}
     assert ab.verdict(synthetic(), traced, same_counts=True) == [

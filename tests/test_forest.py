@@ -194,8 +194,8 @@ def replay_fixes(script, scan):
 
     Steps: ("file", [(h, seed), ...]) files a random-shaped perfect tree of
     height h built from seed; ("remove", i) removes the i-th tree (modulo
-    the tree count) and files its two subtrees one height down, as a root
-    removal does; ("fix",) runs fix, first setting pending to SCAN when
+    the tree count) with remove_root, which files its two subtrees one
+    height down; ("fix",) runs fix, first setting pending to SCAN when
     scan is set, so the general scan does every carry.  Each fix must
     leave validate() empty.
     """
@@ -209,10 +209,6 @@ def replay_fixes(script, scan):
         elif step[0] == "remove" and f.size:
             tree = list(f.trees())[step[1] % f.tree_count()]
             f.remove_root(tree.height, tree.root)
-            if tree.height:
-                f.add_root(tree.root.left, tree.height - 1)
-                f.add_root(tree.root.right, tree.height - 1)
-                tree.root.left.parent = tree.root.right.parent = None
         elif step[0] == "fix":
             if scan:
                 f.pending = forest_module.SCAN

@@ -14,7 +14,7 @@ from triheap.errors import (ContractViolation, EmptyQueueError,
                             InvalidHandleError)
 from triheap.forest import SCAN, FixPolicy, Forest
 from triheap.queue import Queue
-from triheap.tree import ComparisonCounter, detach_root
+from triheap.tree import ComparisonCounter
 from triheap.workload import QueueRunner, generate_script
 
 from conftest import (CountedKey, assert_comparisons_recorded,
@@ -575,14 +575,15 @@ class TestBucketSplice:
 
 @pytest.mark.parametrize("op", ["delete_min", "delete"])
 def test_root_removal_shares_one_path(op, rng, monkeypatch):
-    """delete_min and delete of the same height-3 root each detach one root
-    and record the same structural delta, h - 2, and the same digits."""
-    import triheap.queue
-    detached = []
+    """delete_min and delete of the same height-3 root each make one
+    Forest.remove_root call, at height 3, and record the same structural
+    delta, h - 2, and the same digits."""
+    removed = []
+    remove_root = Forest.remove_root
 
-    def spy(root):
-        detached.append(root.key)
-        return detach_root(root)
+    def spy(self, height, root):
+        removed.append(height)
+        return remove_root(self, height, root)
 
     q = Queue(keep_records=True)
     t = build_perfect_heap(range(15), rng)
@@ -590,12 +591,12 @@ def test_root_removal_shares_one_path(op, rng, monkeypatch):
     q.ledger.record_structural("adopt", t.height)
     q.ledger.finish_op(0, 0)
     handle = t.root.left.left.left.handle
-    monkeypatch.setattr(triheap.queue, "detach_root", spy)
+    monkeypatch.setattr(Forest, "remove_root", spy)
     if op == "delete_min":
         assert q.delete_min()[0] == 0
     else:
         q.delete(handle)
-    assert len(detached) == 1
+    assert removed == [3]
     rec = q.ledger.records[-1]
     assert (rec.op, rec.structural_delta, rec.fixes) == (op, 3 - 2, 0)
     assert q.forest.digits() == [0, 0, 2]
