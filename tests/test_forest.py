@@ -7,8 +7,10 @@ import pytest
 
 from triheap import forest as forest_module
 from triheap.errors import ContractViolation, EmptyQueueError
-from triheap.forest import FixPolicy, Forest
-from triheap.tree import ComparisonCounter, PerfectTree, rearrange_roots
+from triheap.forest import SCAN, FixPolicy, Forest
+from triheap.ledger import PotentialLedger
+from triheap.tree import (ComparisonCounter, PerfectTree, detach_root,
+                          rearrange_roots)
 
 from conftest import CountedKey, build_perfect_heap, perfect_size, singleton
 
@@ -50,6 +52,77 @@ class TestAddTree:
         f.add_root(build_perfect_heap(range(7), rng).root, 2)
         assert f.size == 7
         assert f.digits() == [0, 0, 1]
+
+
+def shape(node):
+    return None if node is None else (node.key, shape(node.left),
+                                      shape(node.right))
+
+
+class TestRemoveRoot:
+    """remove_root takes a root out, kills its handle and files its two
+    subtrees at the end of the bucket one height down, left then right,
+    as tree.detach_root frees them."""
+
+    @pytest.mark.parametrize("other_pending", [False, True])
+    @pytest.mark.parametrize("h", range(5))
+    def test_subtrees_filed_below(self, h, other_pending, rng):
+        f = Forest()
+        earlier = build_perfect_heap(range(100, 100 + perfect_size(h - 1)),
+                                     rng).root if h else None
+        if h:
+            f.add_root(earlier, h - 1)
+        t = build_perfect_heap(range(perfect_size(h)), random.Random(h))
+        reference = build_perfect_heap(range(perfect_size(h)),
+                                       random.Random(h)).root
+        root, handle = t.root, t.root.handle
+        left, right = root.left, root.right
+        f.add_root(root, h)
+        f.pending = h + 1 if other_pending else None
+        size = f.size
+        assert f.remove_root(h, root) == (h - 2 if h else 0)
+        assert f.size == size - 1
+        assert (root.handle, handle.node) == (None, None)
+        assert (root.left, root.right) == (None, None)
+        assert [shape(left), shape(right)] == list(
+            map(shape, detach_root(reference)))
+        if h:
+            assert f.digits() == [0] * (h - 1) + [3]  # bucket h trimmed
+            filed = f.roots[h - 1]
+            assert filed[0] is earlier
+            assert filed[1] is left and filed[2] is right
+            assert (left.parent, right.parent) == (None, None)
+            assert f.pending == (SCAN if other_pending else h - 1)
+        else:
+            assert f.roots == []
+            assert f.pending == (1 if other_pending else None)
+        assert [p for p in f.validate() if "exceeds bound" not in p] == []
+
+
+class TestIdleFix:
+    """An eager fix with less than three roots at the pending height
+    returns at once: no carry, no charge, pending back to None."""
+
+    @pytest.mark.parametrize("n", [0, 1, 3, 4, 6, 7, 10, 20, 25, 26])
+    def test_insert_leaving_digit_zero_within_the_bound(self, n):
+        # n inserts, each fixed: digit 0 is 0 or 1 at these n.
+        ledger = PotentialLedger(keep_events=True)
+        f = Forest()
+        for k in range(n):
+            f.add_root(singleton(k), 0)
+            f.fix(counter(), ledger)
+        assert f.pending is None and f.max_digit() <= 2
+        assert f.digits()[:1] in ([], [0], [1])
+        f.add_root(singleton(n), 0)
+        assert f.pending == 0
+        counted, rearrangements = counter(), ledger.rearrangements
+        events, phi = list(ledger.events), ledger.phi
+        assert f.fix(counted, ledger) == 0
+        assert counted.count == 0
+        assert ledger.rearrangements == rearrangements
+        assert (ledger.events, ledger.phi) == (events, phi)
+        assert f.pending is None
+        assert f.validate() == []
 
 
 class TestFixEager:
@@ -356,6 +429,30 @@ class TestScanMin:
     def test_empty_raises(self):
         with pytest.raises(EmptyQueueError):
             Forest().scan_min(counter())
+
+    @pytest.mark.parametrize("keys, choice", [
+        # root keys per height (digits [0, 2, 0, 1, 2]), the chosen
+        # (height, index in its bucket)
+        ({1: [4, 2], 3: [2], 4: [2, 2]}, (1, 1)),
+        ({1: [4, 3], 3: [3], 4: [1, 1]}, (4, 0)),
+        ({1: [2, 2], 3: [2], 4: [2, 2]}, (1, 0)),
+        ({1: [5, 4], 3: [0], 4: [0, 3]}, (3, 0)),
+    ])
+    def test_one_pass_counts_every_less_than(self, keys, choice, rng):
+        """The counter equals the keys' own < calls, trees - 1, and ties
+        across heights and within a bucket follow the tie rule."""
+        f = Forest()
+        for h, roots in keys.items():
+            for r in roots:
+                values = [CountedKey(r + 10 * k)
+                          for k in range(perfect_size(h))]
+                f.add_root(build_perfect_heap(values, rng).root, h)
+        assert f.digits() == [0, 2, 0, 1, 2]
+        counted = counter()
+        CountedKey.calls = 0
+        h, root = f.scan_min(counted)
+        assert counted.count == CountedKey.calls == f.tree_count() - 1 == 4
+        assert (h, root) == (choice[0], f.roots[choice[0]][choice[1]])
 
 
 class TestDigits:
