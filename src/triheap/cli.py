@@ -82,18 +82,16 @@ def _read_keys(path):
 
 def cmd_sort(args):
     keys = _read_keys(args.input)
-    sink = None
-    close = None
-    if args.stats == "-":
-        sink = _stats_writer(sys.stderr, args.fmt)
-    elif args.stats != "none":
-        fh = open(args.stats, "w")
-        sink = _stats_writer(fh, args.fmt)
-        close = fh
-    out, _ = run_sort(keys, policy_from_args(args), stats_sink=sink)
+    policy = policy_from_args(args)  # a usage error leaves --stats unopened
+    if args.stats in ("-", "none"):
+        sink = _stats_writer(sys.stderr, args.fmt) if args.stats == "-" \
+            else None
+        out, _ = run_sort(keys, policy, stats_sink=sink)
+    else:
+        with open(args.stats, "w") as fh:
+            out, _ = run_sort(keys, policy,
+                              stats_sink=_stats_writer(fh, args.fmt))
     sys.stdout.write("".join(f"{k}\n" for k in out))
-    if close is not None:
-        close.close()
     return 0
 
 

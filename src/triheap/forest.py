@@ -23,7 +23,7 @@ from .tree import PerfectTree, rearrange_roots, validate_tree
 
 EAGER = "eager"
 RELAXED = "relaxed"
-SCAN = -1  # Forest.pending: roots filed at two heights, or a fix cut short
+SCAN = -1  # Forest.pending: any filing but one insert or one root removal
 
 
 @dataclass(frozen=True)
@@ -60,9 +60,11 @@ class Forest:
     deterministic, so identical operation sequences produce identical
     forests.
 
-    pending says where add_root filed since fix last completed: None for
-    nowhere, one height, or SCAN (two heights, a meld, or a fix cut short
-    by a raising key comparison, which can leave a digit over the bound).
+    pending says where fix may start, from the filings since fix last
+    completed: None for none, 0 for one insert, h - 1 for one removal of a
+    height-h root, SCAN for anything else (a second filing, a tree above
+    height 0, a meld, or a fix cut short by a raising key comparison,
+    which can leave a digit over the bound).
     """
 
     __slots__ = ("roots", "size", "policy", "pending", "budget")
@@ -83,22 +85,23 @@ class Forest:
 
     def add_root(self, root, height):
         """File a root node under its height.  Never triggers fixing; notes
-        the height in pending."""
+        0 in pending for a singleton filed with nothing pending (an
+        insert), SCAN for any other filing."""
         roots = self.roots
         while len(roots) <= height:
             roots.append([])
         roots[height].append(root)
         self.size += (1 << (height + 1)) - 1
-        if self.pending != height:
-            self.pending = height if self.pending is None else SCAN
+        self.pending = 0 if height == 0 and self.pending is None else SCAN
 
     def remove_root(self, height, root):
         """Remove root, filed at height, and its element; returns the phi
         change, height - 2, or 0 for a singleton.
 
         The root's handle dies; its two subtrees, freed, are filed at
-        height - 1, left then right, as two add_root calls would file them
-        (tree.detach_root is the reference).  No comparison; never fixes.
+        height - 1, left then right (tree.detach_root is the reference).
+        That filing notes height - 1 in pending when nothing was pending,
+        SCAN otherwise.  No comparison; never fixes.
         """
         roots = self.roots
         roots[height].remove(root)
@@ -113,8 +116,7 @@ class Forest:
             left.parent = right.parent = root.left = root.right = None
             delta = height - 2
             roots[height - 1] += left, right
-            if self.pending != height - 1:
-                self.pending = height - 1 if self.pending is None else SCAN
+            self.pending = height - 1 if self.pending is None else SCAN
         while roots and not roots[-1]:
             roots.pop()
         self.size -= 1
@@ -234,21 +236,20 @@ class Forest:
         reaches the threshold.  Two schedules pick the heights; they carry
         alike wherever both apply:
 
-        - The walk, under eager when pending is a height holding what an
-          insert or a root removal leaves there: at most 3 trees at height
-          0, or at most 4 with at most 1 one height up.  A completed fix
-          leaves every digit <= 2, so each carry pushes one height at most
-          to 3: the one below through the released pair (a removal's chain,
-          running down) or else the one above through the new top (an
-          insert's chain, running up).  The walk follows that chain from
-          the pending height, so k >= 1 carries visit k + 1 heights; fix
-          returns at once when nothing is pending or the pending height
-          holds fewer than 3 trees.  Other filings (ten singletons) are
-          scanned.
-        - The scan, for everything else (meld, the relaxed policy, a forest
-          a raising comparison left over the bound): it carries at the
-          lowest height whose digit reaches the threshold, then resumes at
-          the height below, the lowest one the carry can have pushed over.
+        - The walk, under eager when pending is a height, which the
+          filing rule (see Forest) allows only for one insert or one root
+          removal after a completed fix.  That fix left every digit <= 2,
+          so each carry pushes one height at most to 3: the one below
+          through the released pair (a removal's chain, running down) or
+          else the one above through the new top (an insert's chain,
+          running up).  The walk follows that chain from the pending
+          height, so k >= 1 carries visit k + 1 heights; fix returns at
+          once when nothing is pending or the pending height holds fewer
+          than 3 trees.
+        - The scan, for everything else (pending SCAN, the relaxed
+          policy): it carries at the lowest height whose digit reaches the
+          threshold, then resumes at the height below, the lowest one the
+          carry can have pushed over.
           The threshold is 3; under relaxed it becomes 5, and the scan
           restarts from height 0, once relaxed_budget carries are done.
 
@@ -281,10 +282,6 @@ class Forest:
         threshold = 3
         done = 0
         singletons = 0
-        if walk:
-            d = len(roots[start])
-            walk = d <= 3 and not start or d <= 4 and (
-                start + 1 == n or len(roots[start + 1]) < 2)
         h = start if walk else 0
         try:
             while h < n:

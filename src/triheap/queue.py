@@ -10,7 +10,7 @@ rearrangement-based design (and why no sift-down exists in this package).
 from __future__ import annotations
 
 from .errors import ContractViolation, InvalidHandleError
-from .forest import FixPolicy, Forest
+from .forest import Forest
 from .ledger import PotentialLedger
 # Forest.remove_root inlines detach_root; the traced run wraps it here.
 from .tree import (ComparisonCounter, Handle, Node, detach_root,
@@ -43,13 +43,11 @@ class Queue:
     isolated and safe to use from parallel threads.
     """
 
-    __slots__ = ("policy", "comparator", "forest", "ledger", "alive",
-                 "cached_min")
+    __slots__ = ("comparator", "forest", "ledger", "alive", "cached_min")
 
     def __init__(self, policy=None, keep_records=False, keep_events=False):
-        self.policy = policy if policy is not None else FixPolicy()
         self.comparator = ComparisonCounter()
-        self.forest = Forest(self.policy)
+        self.forest = Forest(policy)
         self.ledger = PotentialLedger(keep_records, keep_events)
         self.alive = True
         self.cached_min = None
@@ -219,7 +217,7 @@ class Queue:
         if not 0 <= fraction <= 1:
             raise ContractViolation(f"fraction {fraction!r} not in [0, 1]")
         self.cached_min = None
-        other = type(self)(policy=self.policy,
+        other = type(self)(policy=self.forest.policy,
                            keep_records=self.ledger.records is not None,
                            keep_events=self.ledger.events is not None)
         phi = self.forest.split(int(fraction * self.forest.tree_count()),
@@ -246,9 +244,10 @@ class Queue:
         other._require_alive()
         if other is self:
             raise ContractViolation("cannot meld a queue with itself")
-        if self.policy != other.policy:
+        policy, theirs = self.forest.policy, other.forest.policy
+        if policy != theirs:
             raise ContractViolation(
-                f"meld across fix policies {self.policy} / {other.policy}")
+                f"meld across fix policies {policy} / {theirs}")
         c0 = self.comparator.count + other.comparator.count
         self.cached_min = other.cached_min = None
         self.forest.meld(other.forest)

@@ -57,6 +57,17 @@ class TestSort:
         assert code == 2
         assert "error" in err
 
+    def test_usage_error_leaves_the_stats_file(self, tmp_path, capsys):
+        inp = tmp_path / "keys.txt"
+        inp.write_text("3 1 2\n")
+        stats = tmp_path / "stats.csv"
+        stats.write_text("earlier run\n")
+        code, out, err = run_cli(capsys, "sort", str(inp), "--stats",
+                                 str(stats), "--relaxed-budget", "0")
+        assert code == 2
+        assert out == "" and "relaxed_budget must be >= 1" in err
+        assert stats.read_text() == "earlier run\n"
+
     def test_run_sort_large_matches_sorted(self):
         import random
         rng = random.Random(5)

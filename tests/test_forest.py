@@ -64,7 +64,8 @@ class TestRemoveRoot:
     subtrees at the end of the bucket one height down, left then right,
     as tree.detach_root frees them."""
 
-    @pytest.mark.parametrize("other_pending", [False, True])
+    @pytest.mark.parametrize("other_pending", [None, "zero", "same",
+                                               "above"])
     @pytest.mark.parametrize("h", range(5))
     def test_subtrees_filed_below(self, h, other_pending, rng):
         f = Forest()
@@ -78,7 +79,9 @@ class TestRemoveRoot:
         root, handle = t.root, t.root.handle
         left, right = root.left, root.right
         f.add_root(root, h)
-        f.pending = h + 1 if other_pending else None
+        before = {None: None, "zero": 0, "same": h - 1,
+                  "above": h + 1}[other_pending]
+        f.pending = before
         size = f.size
         assert f.remove_root(h, root) == (h - 2 if h else 0)
         assert f.size == size - 1
@@ -92,11 +95,34 @@ class TestRemoveRoot:
             assert filed[0] is earlier
             assert filed[1] is left and filed[2] is right
             assert (left.parent, right.parent) == (None, None)
-            assert f.pending == (SCAN if other_pending else h - 1)
+            assert f.pending == (h - 1 if before is None else SCAN)
         else:
             assert f.roots == []
-            assert f.pending == (1 if other_pending else None)
+            assert f.pending == before  # nothing filed
         assert [p for p in f.validate() if "exceeds bound" not in p] == []
+
+
+class TestFilingRule:
+    """pending names a height only for one insert (0) or one root removal
+    (h - 1) with nothing pending; any other filing notes SCAN."""
+
+    def test_insert_notes_height_zero(self):
+        f = Forest()
+        f.add_root(singleton(1), 0)
+        assert f.pending == 0
+
+    @pytest.mark.parametrize("h", range(1, 4))
+    def test_filing_above_height_zero_notes_scan(self, h, rng):
+        f = Forest()
+        f.add_root(build_perfect_heap(range(perfect_size(h)), rng).root, h)
+        assert f.pending == SCAN
+
+    @pytest.mark.parametrize("before", [0, 1, SCAN])
+    def test_second_filing_at_height_zero_notes_scan(self, before):
+        f = Forest()
+        f.pending = before
+        f.add_root(singleton(1), 0)
+        assert f.pending == SCAN
 
 
 class TestIdleFix:
@@ -338,6 +364,33 @@ class TestCarryWalk:
                 script.append(("fix",))
         script.append(("fix",))
         self.assert_walk_matches_scan(script)
+
+
+def test_walk_leaves_a_full_bucket_off_the_chain(rng):
+    """Digits [2, 0, 0, 2], settled, then a third height-3 root
+    appended behind fix's back and one insert: the insert's chain is
+    one carry and never reaches height 3, which the scan carries."""
+    def settled():
+        f = Forest()
+        for k in range(2):
+            f.add_root(singleton(k), 0)
+            f.add_root(build_perfect_heap(range(100 * k, 100 * k + 15),
+                                          rng).root, 3)
+        assert f.fix(counter()) == 0 and f.pending is None
+        f.roots[3].append(
+            build_perfect_heap(range(200, 215), rng).root)
+        f.size += 15
+        f.add_root(singleton(9), 0)
+        assert f.digits() == [3, 0, 0, 3]
+        return f
+
+    walked, scanned = settled(), settled()
+    assert walked.pending == 0
+    assert walked.fix(counter()) == 1
+    assert walked.digits() == [0, 1, 0, 3]
+    scanned.pending = SCAN
+    assert scanned.fix(counter()) == 2
+    assert scanned.digits() == [0, 1, 2, 0, 1]
 
 
 class TestFixRelaxed:

@@ -15,7 +15,7 @@ from triheap.errors import (ContractViolation, EmptyQueueError,
 from triheap.forest import SCAN, FixPolicy, Forest
 from triheap.queue import Queue
 from triheap.tree import ComparisonCounter
-from triheap.workload import QueueRunner, generate_script
+from triheap.workload import DEFAULT_WEIGHTS, QueueRunner, generate_script
 
 from conftest import (CountedKey, assert_comparisons_recorded,
                       build_perfect_heap)
@@ -420,7 +420,7 @@ class TestSplit:
             q.insert(k)
         other = q.split(0.5)
         assert type(other) is Sub
-        assert other.policy == q.policy
+        assert other.forest.policy == q.forest.policy
         assert other.ledger.events == [] and other.ledger.records is None
 
     def test_handles_from_both_halves_survive_meld(self):
@@ -1168,6 +1168,56 @@ def test_carry_walk_matches_the_scan_after_every_op(ops):
         assert roots_and_counts(walking.queue) == \
             roots_and_counts(scanning.queue), f"op {step} {op}"
     assert walking.queue.validate() == []
+
+
+class ReadLog(list):
+    """A roots list that notes every height fix reads by subscript."""
+
+    def __init__(self, roots):
+        super().__init__(roots)
+        self.heights = set()
+
+    def __getitem__(self, h):
+        self.heights.add(h)
+        return super().__getitem__(h)
+
+
+class WalkingQueue(Queue):
+    """Notes, for every fix, pending before it, its carries and the
+    number of heights it read."""
+
+    def __init__(self):
+        super().__init__()
+        self.fixes = []
+
+    def _run_fix(self):
+        forest = self.forest
+        pending = forest.pending
+        forest.roots = read = ReadLog(forest.roots)
+        try:
+            carries = super()._run_fix()
+        finally:
+            forest.roots = list(read)
+        self.fixes.append((pending, carries, len(read.heights)))
+        return carries
+
+
+@pytest.mark.parametrize("ops", [
+    sort_ops(3000, 3, 2 ** 32),
+    generate_script(23, 6000,
+                    dict(DEFAULT_WEIGHTS, **{"meld-split": 0})).ops,
+], ids=["sort", "mix-without-meld-split"])
+def test_every_fix_after_insert_or_removal_walks(ops):
+    """Insert, delete-min and delete each leave pending at a height (or
+    None), never SCAN, and their fix walks: k carries read at most k + 2
+    heights, where the scan reads every height (8 to 10 here)."""
+    runner = QueueRunner()
+    runner.queue = q = WalkingQueue()
+    for op in ops:
+        runner.apply(op)
+    assert q.fixes and SCAN not in {pending for pending, _, _ in q.fixes}
+    assert max(read - carries for _, carries, read in q.fixes) <= 2
+    assert q.validate() == []
 
 
 @pytest.mark.parametrize("queue_cls", [Queue, ScanningQueue])
