@@ -62,10 +62,10 @@ def shape(node):
 class TestRemoveRoot:
     """remove_root takes a root out, kills its handle and files its two
     subtrees at the end of the bucket one height down, left then right,
-    as tree.detach_root frees them."""
+    as tree.detach_root frees them.  It notes h - 1 in pending when
+    nothing was pending, and SCAN when 0, h - 1 or h + 1 was."""
 
-    @pytest.mark.parametrize("other_pending", [None, "zero", "same",
-                                               "above"])
+    @pytest.mark.parametrize("other_pending", [False, True, "zero", "same"])
     @pytest.mark.parametrize("h", range(5))
     def test_subtrees_filed_below(self, h, other_pending, rng):
         f = Forest()
@@ -79,8 +79,8 @@ class TestRemoveRoot:
         root, handle = t.root, t.root.handle
         left, right = root.left, root.right
         f.add_root(root, h)
-        before = {None: None, "zero": 0, "same": h - 1,
-                  "above": h + 1}[other_pending]
+        before = {False: None, True: h + 1, "zero": 0,
+                  "same": h - 1}[other_pending]
         f.pending = before
         size = f.size
         assert f.remove_root(h, root) == (h - 2 if h else 0)

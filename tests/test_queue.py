@@ -1194,10 +1194,8 @@ class WalkingQueue(Queue):
         forest = self.forest
         pending = forest.pending
         forest.roots = read = ReadLog(forest.roots)
-        try:
-            carries = super()._run_fix()
-        finally:
-            forest.roots = list(read)
+        carries = super()._run_fix()
+        forest.roots = list(read)
         self.fixes.append((pending, carries, len(read.heights)))
         return carries
 
@@ -1210,7 +1208,7 @@ class WalkingQueue(Queue):
 def test_every_fix_after_insert_or_removal_walks(ops):
     """Insert, delete-min and delete each leave pending at a height (or
     None), never SCAN, and their fix walks: k carries read at most k + 2
-    heights, where the scan reads every height (8 to 10 here)."""
+    heights, where the scan reads every height up to the top."""
     runner = QueueRunner()
     runner.queue = q = WalkingQueue()
     for op in ops:
