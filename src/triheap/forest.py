@@ -126,20 +126,22 @@ class Forest:
         """Keep the first count trees and move the rest into into, an
         empty forest; returns the moved phi.
 
-        Trees count in height order, then bucket order.  Only the boundary
-        bucket is sliced; every bucket above it moves as it is, and the
-        moved size and phi are summed in one pass over the moved heights.
-        into takes this forest's pending.  Cost: a few list operations per
-        height, no comparison; never fixes.
+        Trees count in height order, then bucket order.  The pass that
+        finds the boundary bucket gives into an empty bucket per height
+        below it; only the boundary bucket is sliced, every bucket above
+        it moves as it is, and one pass over the moved heights sums their
+        size and phi.  into takes this forest's pending.  Cost: a few list
+        operations per height, no comparison; never fixes.
         """
         roots = self.roots
+        tail = []
         for h, bucket in enumerate(roots):
             if count < len(bucket):
                 break
             count -= len(bucket)
+            tail.append([])
         else:
             return 0
-        tail = [[] for _ in range(h)]
         tail.append(bucket[count:])
         tail += roots[h + 1:]
         del bucket[count:]

@@ -36,7 +36,9 @@ class Queue:
 
     Every op that opens a ledger record closes it, also when a key
     comparison raises, with the carries (counted on the ledger since the
-    record opened) and comparisons made by then.
+    record opened) and comparisons made by then.  Without records, no op
+    calls finish_op, and record_structural runs only for a nonzero phi
+    change, whose underflow it guards.
 
     A queue is single-owner: it may be handed between threads as a whole but
     must never be accessed concurrently.  Independent queues are fully
@@ -137,8 +139,9 @@ class Queue:
         if self.cached_min is None:
             self.cached_min = self.forest.scan_min(self.comparator)
         root = self.cached_min[1]
-        self.ledger.record_structural("find_min", 0)
-        self.ledger.finish_op(0, self.comparator.count - c0)
+        if self.ledger.records is not None:
+            self.ledger.record_structural("find_min", 0)
+            self.ledger.finish_op(0, self.comparator.count - c0)
         return root.key, root.payload
 
     def delete_min(self):
@@ -174,7 +177,9 @@ class Queue:
         node = self._live_node(handle)
         _, root = self._tree_of(node)
         c0 = self.comparator.count
-        self.ledger.record_structural("decrease_key", 0)
+        keep = self.ledger.records is not None
+        if keep:
+            self.ledger.record_structural("decrease_key", 0)
         try:
             self.comparator.count += 1
             if node.key < new_key:
@@ -185,7 +190,8 @@ class Queue:
             if cached is not None and top is root and root is not cached[1]:
                 self.cached_min = None
         finally:
-            self.ledger.finish_op(0, self.comparator.count - c0)
+            if keep:
+                self.ledger.finish_op(0, self.comparator.count - c0)
 
     def delete(self, handle):
         """Remove the element behind handle.
@@ -209,23 +215,27 @@ class Queue:
         trees stay; the rest move as they are, with no comparison, into a
         new queue of self's type and policy.  Handles follow
         their elements.  Each ledger records one "split" op for moved phi.
-        Cost: Forest.split's few list operations per height (only the
-        boundary bucket is sliced), no comparison and no carry.  Neither
-        half keeps a cached minimum.
+        Cost: a new queue, a tree count, Forest.split's one pass over the
+        heights (only the boundary bucket is sliced) and, without records,
+        ledger calls only for a nonzero moved phi; no comparison and no
+        carry.  Neither half keeps a cached minimum.
         """
-        self._require_alive()
+        if not self.alive:
+            self._require_alive()
         if not 0 <= fraction <= 1:
             raise ContractViolation(f"fraction {fraction!r} not in [0, 1]")
         self.cached_min = None
-        other = type(self)(policy=self.forest.policy,
-                           keep_records=self.ledger.records is not None,
-                           keep_events=self.ledger.events is not None)
-        phi = self.forest.split(int(fraction * self.forest.tree_count()),
-                                other.forest)
-        self.ledger.record_structural("split", -phi)
-        self.ledger.finish_op(0, 0)
-        other.ledger.record_structural("split", phi)
-        other.ledger.finish_op(0, 0)
+        forest, ledger = self.forest, self.ledger
+        keep = ledger.records is not None
+        other = type(self)(policy=forest.policy, keep_records=keep,
+                           keep_events=ledger.events is not None)
+        phi = forest.split(int(fraction * forest.tree_count()), other.forest)
+        if phi or keep:
+            ledger.record_structural("split", -phi)
+            other.ledger.record_structural("split", phi)
+        if keep:
+            ledger.finish_op(0, 0)
+            other.ledger.finish_op(0, 0)
         return other
 
     def meld(self, other):
@@ -235,17 +245,19 @@ class Queue:
         the result.  Buckets concatenate height-wise with self's trees first,
         no tree changes height before fixing, and every handle from either
         input stays valid against the result.  Cost before fixing:
-        Forest.meld's one list operation per height, no comparison; then
-        the carries run.  The result holds no cached minimum.  Other's
+        Forest.meld's one list operation per height, no comparison (the
+        policies' == runs only when they are distinct objects); then the
+        carries run.  The result holds no cached minimum.  Other's
         ledger hands its phi over with its trees, and its counter its
         count.
         """
-        self._require_alive()
-        other._require_alive()
+        if not (self.alive and other.alive):
+            self._require_alive()
+            other._require_alive()
         if other is self:
             raise ContractViolation("cannot meld a queue with itself")
         policy, theirs = self.forest.policy, other.forest.policy
-        if policy != theirs:
+        if policy is not theirs and policy != theirs:
             raise ContractViolation(
                 f"meld across fix policies {policy} / {theirs}")
         c0 = self.comparator.count + other.comparator.count

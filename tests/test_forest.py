@@ -365,6 +365,23 @@ class TestCarryWalk:
         script.append(("fix",))
         self.assert_walk_matches_scan(script)
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_one_insert_or_removal_between_fixes(self, seed):
+        # After the first fix, each fix follows one insert or one root
+        # removal, which the filing rule notes as a height (a singleton's
+        # removal files nothing), so nearly every fix walks, where
+        # test_random_filings_and_removals mostly scans.
+        r = random.Random(seed)
+        script = [("file", [(h, 10 * h + k) for h in range(4)
+                            for k in range(2)]), ("fix",)]
+        for serial in range(1000, 1150):
+            if r.random() < 0.6:
+                script.append(("file", [(0, serial)]))
+            else:
+                script.append(("remove", r.randrange(1000)))
+            script.append(("fix",))
+        self.assert_walk_matches_scan(script)
+
 
 def test_walk_leaves_a_full_bucket_off_the_chain(rng):
     """Digits [2, 0, 0, 2], settled, then a third height-3 root

@@ -11,8 +11,9 @@ from hypothesis import example, given, strategies as st
 
 import triheap
 from triheap.errors import (ContractViolation, EmptyQueueError,
-                            InvalidHandleError)
+                            InvalidHandleError, LedgerError)
 from triheap.forest import SCAN, FixPolicy, Forest
+from triheap.ledger import PotentialLedger
 from triheap.queue import Queue
 from triheap.tree import ComparisonCounter
 from triheap.workload import DEFAULT_WEIGHTS, QueueRunner, generate_script
@@ -268,6 +269,52 @@ class TestMeld:
         with pytest.raises(ContractViolation):
             a.meld(b)
 
+    def test_relaxed_budget_mismatch_rejected(self):
+        a = Queue(policy=FixPolicy("relaxed", relaxed_budget=1))
+        b = Queue(policy=FixPolicy("relaxed", relaxed_budget=2))
+        a.insert(1)
+        b.insert(2)
+        with pytest.raises(ContractViolation):
+            a.meld(b)
+        assert a.alive and b.alive and (len(a), len(b)) == (1, 1)
+
+    def test_equal_policies_built_apart_meld(self):
+        policies = FixPolicy("relaxed"), FixPolicy("relaxed")
+        assert policies[0] is not policies[1]
+        a, b = (Queue(policy=p) for p in policies)
+        for k in range(5):
+            a.insert(k)
+            b.insert(10 + k)
+        assert a.meld(b) is a and len(a) == 10 and not b.alive
+        assert a.validate() == []
+
+    def test_meld_with_itself_rejected(self):
+        q = Queue()
+        for k in range(6):
+            q.insert(k)
+        digits = q.forest.digits()
+        with pytest.raises(ContractViolation):
+            q.meld(q)
+        assert q.alive and len(q) == 6 and q.forest.digits() == digits
+        assert q.validate() == []
+
+    @pytest.mark.parametrize("consumed_side", ["self", "other"])
+    def test_consumed_queue_on_either_side_rejected(self, consumed_side):
+        live, dead = Queue(), Queue()
+        for k in range(7):
+            live.insert(k)
+        dead.insert(99)
+        Queue().meld(dead)
+        digits = live.forest.digits()
+        with pytest.raises(ContractViolation):
+            if consumed_side == "self":
+                dead.meld(live)
+            else:
+                live.meld(dead)
+        assert live.alive and len(live) == 7
+        assert live.forest.digits() == digits
+        assert live.validate() == []
+
     def test_consumed_queue_unusable(self):
         a = Queue()
         b = Queue()
@@ -376,6 +423,15 @@ class TestSplit:
         with pytest.raises(ContractViolation):
             b.split(0.5)
         assert a.forest.digits() == digits
+
+    def test_phi_underflow_raises_without_records(self):
+        # split(0) moves every tree, so the moved phi is the height sum.
+        q, _ = self.filled(20)
+        moved = q.forest.height_sum()
+        assert q.ledger.records is None and moved > 0
+        q.ledger.phi = moved - 1
+        with pytest.raises(LedgerError):
+            q.split(0)
 
     def test_zero_moves_every_tree(self):
         q, _ = self.filled(20)
@@ -601,6 +657,31 @@ def test_root_removal_shares_one_path(op, rng, monkeypatch):
     assert (rec.op, rec.structural_delta, rec.fixes) == (op, 3 - 2, 0)
     assert q.forest.digits() == [0, 0, 2]
     assert q.validate() == []
+
+
+def test_no_record_calls_without_records(monkeypatch):
+    """Without records no op calls finish_op, and record_structural runs
+    only for a nonzero phi change, which its underflow guard checks."""
+    calls = []
+    record_structural = PotentialLedger.record_structural
+    finish_op = PotentialLedger.finish_op
+
+    def record_spy(self, op, delta):
+        calls.append((op, delta))
+        return record_structural(self, op, delta)
+
+    def finish_spy(self, fixes, comparisons):
+        calls.append(("finish_op", None))
+        return finish_op(self, fixes, comparisons)
+
+    monkeypatch.setattr(PotentialLedger, "record_structural", record_spy)
+    monkeypatch.setattr(PotentialLedger, "finish_op", finish_spy)
+    ops = generate_script(7, 3000).ops
+    assert {op[0] for op in ops} == set(DEFAULT_WEIGHTS)
+    for policy in (FixPolicy(), FixPolicy("relaxed")):
+        QueueRunner(policy=policy).run(ops)
+    assert {"delete_min", "delete", "split"} <= {op for op, _ in calls}
+    assert all(op != "finish_op" and delta for op, delta in calls)
 
 
 class TestDecreaseKey:
