@@ -65,6 +65,77 @@ class TestParse:
     def test_blank_and_comment_lines_skipped(self):
         assert parse_script("\n# nothing\n\n").ops == []
 
+    def test_inline_seed_comment(self):
+        script = parse_script("i 5 # seed=9\n# seed=4\ni 6\n")
+        assert script.ops == [("i", 5), ("i", 6)]
+        assert script.seed == 9
+
+    @pytest.mark.parametrize("text, message", [
+        ("pop 3\n", "line 1: bad op 'pop 3'"),
+        ("i 1  2 # two keys\n", "line 1: bad op 'i 1  2'"),
+        ("\tI 3\n", "line 1: bad op 'I 3'"),
+        ("i\n", "line 1: bad op 'i'"),
+        ("dm 1\n", "line 1: bad op 'dm 1'"),
+        ("fm x\n", "line 1: bad op 'fm x'"),
+        ("i 1\ndk 0\n", "line 2: bad op 'dk 0'"),
+        ("del\n", "line 1: bad op 'del'"),
+        ("i 1\ndk 1 0\n", "line 2: handle 1 not inserted yet"),
+        ("i 1\n  dk -1 5  # c\n", "line 2: handle -1 not inserted yet"),
+        ("i 1\n\ndel 3\n", "line 3: handle 3 not inserted yet"),
+        ("i 1\nmeld-split 1.5\n", "line 2: fraction 1.5 outside [0, 1]"),
+        ("i 1\ni 2\nmeld-split -0.1\n",
+         "line 3: fraction -0.1 outside [0, 1]"),
+        ("i 1\nmeld-split nan\n", "line 2: fraction nan outside [0, 1]"),
+        ("i five\n", "line 1: invalid literal for int() with base 10: 'five'"),
+        ("# seed=4\ni 1\ndk 0 x\n",
+         "line 3: invalid literal for int() with base 10: 'x'"),
+        ("del x\n", "line 1: invalid literal for int() with base 10: 'x'"),
+        ("meld-split half\n",
+         "line 1: could not convert string to float: 'half'"),
+    ])
+    def test_error_messages_are_pinned(self, text, message):
+        with pytest.raises(ScriptParseError) as info:
+            parse_script(text)
+        assert str(info.value) == message
+
+
+MELD_SPLIT_HEAVY = dict(DEFAULT_WEIGHTS, **{"meld-split": 25})
+
+SCRIPT_WEIGHTS = {
+    "default": None,
+    "insert-only": {"i": 1},
+    "meld-split-heavy": MELD_SPLIT_HEAVY,
+    "reordered": {"meld-split": 5, "del": 5, "dk": 10, "fm": 0, "dm": 25,
+                  "i": 40},
+    "dk-del-heavy": {"i": 30, "dm": 5, "fm": 5, "dk": 35, "del": 25},
+}
+
+# (weights, seed) -> sha256 prefix of format_script(generate_script(seed,
+# 3000, weights)); any change to how a seed's draws become ops moves one.
+# "3-fill" is the string seed perfbench's verify-audit fill uses.
+SCRIPT_DIGESTS = {
+    ("default", 0): "a2816a7a21a625b2",
+    ("default", 1): "8bc217ef042fc9c0",
+    ("default", 2011): "30d4e18e81214879",
+    ("default", "3-fill"): "6e4fa61b001c975e",
+    ("insert-only", 0): "e71dd4156451ee3b",
+    ("insert-only", 1): "efbb6a0cdcf93cbc",
+    ("insert-only", 2011): "9a83d06beea5ab1b",
+    ("insert-only", "3-fill"): "68ff4ad099ed5975",
+    ("meld-split-heavy", 0): "a33f216ae71af093",
+    ("meld-split-heavy", 1): "51f62ac84e230121",
+    ("meld-split-heavy", 2011): "e171a1714bc5fee5",
+    ("meld-split-heavy", "3-fill"): "fb2eb1eebb2c8346",
+    ("reordered", 0): "2764592712155fa2",
+    ("reordered", 1): "374a721b6eb526c8",
+    ("reordered", 2011): "eaa03177ed814104",
+    ("reordered", "3-fill"): "4b3d136235682d20",
+    ("dk-del-heavy", 0): "b94a85d64c0302d5",
+    ("dk-del-heavy", 1): "0a7998eb2662e32e",
+    ("dk-del-heavy", 2011): "b9e0b602485271dd",
+    ("dk-del-heavy", "3-fill"): "b9988a39293a64b7",
+}
+
 
 class TestGenerate:
 
@@ -91,9 +162,20 @@ class TestGenerate:
              "--seed", "7", "--ops", "50"],
             capture_output=True, text=True, env=env, timeout=60)
         assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == format_script(generate_script(7, 50))
         script = parse_script(proc.stdout)
         assert len(script.ops) == 50
         assert script.seed == 7
+
+    def test_scripts_are_pinned(self):
+        seeds = (0, 1, 2011, "3-fill")
+        digests = {}
+        for name, weights in SCRIPT_WEIGHTS.items():
+            for seed in seeds:
+                text = format_script(generate_script(seed, 3000, weights))
+                digests[name, seed] = \
+                    hashlib.sha256(text.encode()).hexdigest()[:16]
+        assert digests == SCRIPT_DIGESTS
 
 
 class TestMeldSplit:
@@ -127,8 +209,6 @@ class TestMeldSplit:
         with pytest.raises(EmptyQueueError):
             runner.apply(("dm",))
 
-
-MELD_SPLIT_HEAVY = dict(DEFAULT_WEIGHTS, **{"meld-split": 25})
 
 # (weights, mode, seed) -> (comparisons, carries, phi, digits, records,
 # forest digest) after 20,000 ops; any change to the carry schedule or the
