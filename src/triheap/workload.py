@@ -18,7 +18,9 @@ from __future__ import annotations
 import heapq
 import random
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .errors import HeapError
 from .queue import Queue
@@ -49,14 +51,16 @@ def parse_script(text):
     ops = []
     seed = None
     inserts = 0
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        m = _SEED_RE.search(raw)
-        if m is not None and seed is None:
-            seed = int(m.group(1))
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in enumerate(text.splitlines(), 1):
+        if "#" in line:
+            if seed is None:
+                m = _SEED_RE.search(line)
+                if m is not None:
+                    seed = int(m.group(1))
+            line = line.split("#", 1)[0]
         fields = line.split()
+        if not fields:
+            continue
         kind = fields[0]
         try:
             if kind == "i" and len(fields) == 2:
@@ -85,7 +89,8 @@ def parse_script(text):
                         f"line {lineno}: fraction {frac} outside [0, 1]")
                 ops.append(("meld-split", frac))
             else:
-                raise ScriptParseError(f"line {lineno}: bad op {line!r}")
+                raise ScriptParseError(
+                    f"line {lineno}: bad op {line.strip()!r}")
         except ValueError as exc:
             raise ScriptParseError(f"line {lineno}: {exc}") from exc
     return WorkloadScript(ops, seed)
@@ -93,11 +98,9 @@ def parse_script(text):
 
 def format_script(script):
     """Render a WorkloadScript back to its text form."""
-    lines = []
+    lines = [" ".join(map(str, op)) for op in script.ops]
     if script.seed is not None:
-        lines.append(f"# seed={script.seed}")
-    for op in script.ops:
-        lines.append(" ".join(str(x) for x in op))
+        lines.insert(0, f"# seed={script.seed}")
     return "\n".join(lines) + "\n"
 
 
@@ -115,37 +118,14 @@ DEFAULT_WEIGHTS = {
 KEY_REUSE_RATE = 0.10  # forced duplicate keys, to exercise tie paths
 
 
-class _Pool:
-    """Set with O(1) random choice: list plus position map, swap-remove."""
-
-    __slots__ = ("items", "pos")
-
-    def __init__(self):
-        self.items = []
-        self.pos = {}
-
-    def __len__(self):
-        return len(self.items)
-
-    def add(self, item):
-        self.pos[item] = len(self.items)
-        self.items.append(item)
-
-    def discard(self, item):
-        i = self.pos.pop(item, None)
-        if i is None:
-            return
-        last = self.items.pop()
-        if last != item:
-            self.items[i] = last
-            self.pos[last] = i
-
-    def choice(self, rng):
-        return self.items[rng.randrange(len(self.items))]
-
-
 def generate_script(seed, n_ops, weights=None):
     """Generate a random mixed workload of n_ops operations.
+
+    weights maps op kinds to non-negative ints with a positive sum
+    (default DEFAULT_WEIGHTS); anything else raises ValueError.  The
+    script is a function of seed and weights: each bounded draw below n
+    is getrandbits(n.bit_length()), repeated until it falls below n,
+    which is how Python 3.11's random.randrange(n) draws.
 
     The generator tracks queue contents as it goes so that every dk/del
     references a handle that is provably live no matter how delete-min
@@ -153,27 +133,41 @@ def generate_script(seed, n_ops, weights=None):
     leave the referencable pool at once.  Ops that need elements fall back
     to inserts while the queue is empty.
     """
-    rng = random.Random(seed)
     weights = weights or DEFAULT_WEIGHTS
+    if not all(isinstance(w, int) and w >= 0 for w in weights.values()) \
+            or not sum(weights.values()):
+        raise ValueError(f"weights must be non-negative ints with a "
+                         f"positive sum, got {weights!r}")
     kinds = list(weights)
-    cum = []
-    total = 0
-    for k in kinds:
-        total += weights[k]
-        cum.append(total)
+    cum = list(accumulate(weights.values()))
+    total = cum[-1]
+    rng = random.Random(seed)
+    getrandbits = rng.getrandbits
+    rand = rng.random
 
     ops = []
     live = {}            # eid -> key, full population
     by_key = {}          # key -> set of eids holding it
     key_heap = []        # lazy min-heap over keys
-    safe = _Pool()       # eids never referenced by an ambiguous delete-min
+    safe = []            # eids never referenced by an ambiguous delete-min,
+    safe_at = {}         # each with its index in safe
     used_keys = []
     next_eid = 0
 
-    def fresh_key():
-        if used_keys and rng.random() < KEY_REUSE_RATE:
-            return used_keys[rng.randrange(len(used_keys))]
-        return rng.getrandbits(32)
+    def below(n):
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return r
+
+    def unsafe(eid):
+        i = safe_at.pop(eid, None)
+        if i is not None:
+            last = safe.pop()
+            if last != eid:
+                safe[i] = last
+                safe_at[last] = i
 
     def add_key(eid, key):
         live[eid] = key
@@ -186,59 +180,53 @@ def generate_script(seed, n_ops, weights=None):
         if not by_key[key]:
             del by_key[key]
 
-    def current_min():
-        while key_heap and key_heap[0] not in by_key:
-            heapq.heappop(key_heap)
-        return key_heap[0]
-
     for _ in range(n_ops):
-        roll = rng.randrange(total)
-        kind = kinds[0]
-        for k, edge in zip(kinds, cum):
-            if roll < edge:
-                kind = k
-                break
-        if kind in ("dm", "fm", "meld-split") and not live:
-            kind = "i"
-        if kind in ("dk", "del") and not len(safe):
+        kind = kinds[bisect_right(cum, below(total))]
+        if kind in ("dm", "fm", "meld-split") and not live or \
+                kind in ("dk", "del") and not safe:
             kind = "i"
 
         if kind == "i":
-            key = fresh_key()
+            if used_keys and rand() < KEY_REUSE_RATE:
+                key = used_keys[below(len(used_keys))]
+            else:
+                key = getrandbits(32)
             used_keys.append(key)
             add_key(next_eid, key)
-            safe.add(next_eid)
+            safe_at[next_eid] = len(safe)
+            safe.append(next_eid)
             ops.append(("i", key))
             next_eid += 1
         elif kind == "dm":
-            m = current_min()
-            holders = by_key[m]
+            while key_heap[0] not in by_key:
+                heapq.heappop(key_heap)
+            holders = by_key[key_heap[0]]
             if len(holders) == 1:
-                victim = next(iter(holders))
+                victim, = holders
             else:
                 # Ambiguous tie: the implementation may remove any of these,
                 # so none may be referenced again.
                 victim = min(holders)
                 for eid in sorted(holders):
-                    safe.discard(eid)
-            safe.discard(victim)
+                    unsafe(eid)
+            unsafe(victim)
             drop_key(victim)
             ops.append(("dm",))
         elif kind == "fm":
             ops.append(("fm",))
         elif kind == "dk":
-            eid = safe.choice(rng)
-            new_key = live[eid] - rng.randint(0, 1 << 20)
+            eid = safe[below(len(safe))]
+            new_key = live[eid] - below((1 << 20) + 1)
             drop_key(eid)
             add_key(eid, new_key)
             ops.append(("dk", eid, new_key))
         elif kind == "del":
-            eid = safe.choice(rng)
-            safe.discard(eid)
+            eid = safe[below(len(safe))]
+            unsafe(eid)
             drop_key(eid)
             ops.append(("del", eid))
         else:
-            ops.append(("meld-split", round(rng.random(), 3)))
+            ops.append(("meld-split", round(rand(), 3)))
     return WorkloadScript(ops, seed)
 
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -166,6 +167,23 @@ class TestGenerate:
         script = parse_script(proc.stdout)
         assert len(script.ops) == 50
         assert script.seed == 7
+
+    @pytest.mark.parametrize("weights", [
+        {"i": 0}, {"i": -1}, {"i": 1.5}, {"i": 5, "dm": -1}, {"i": 2.0}],
+        ids=repr)
+    def test_bad_weights_raise_before_any_draw(self, weights):
+        def expire(signum, frame):
+            raise TimeoutError("generate_script did not return")
+
+        old = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(10)
+        try:
+            for n_ops in (0, 100):
+                with pytest.raises(ValueError, match="non-negative ints"):
+                    generate_script(0, n_ops, weights)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, old)
 
     def test_scripts_are_pinned(self):
         seeds = (0, 1, 2011, "3-fill")
