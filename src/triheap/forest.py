@@ -33,8 +33,9 @@ class FixPolicy:
     eager repeats carries until no height holds three or more trees, keeping
     every digit <= 2, mostly by walking an op's carry chain (Forest.fix).
     relaxed spends at most relaxed_budget carries per call on digits >= 3,
-    then force-fixes any digit that reached 5, keeping every digit <= 4
-    while doing near-constant work per call in the typical case.
+    then force-fixes any digit that reached 5, keeping every digit <= 4:
+    near-constant carries per call, but a call that spends its budget then
+    visits every height from 0 up in search of a 5.
     """
 
     mode: str = EAGER

@@ -122,10 +122,9 @@ def generate_script(seed, n_ops, weights=None):
     """Generate a random mixed workload of n_ops operations.
 
     weights maps op kinds to non-negative ints with a positive sum
-    (default DEFAULT_WEIGHTS); anything else raises ValueError.  The
-    script is a function of seed and weights: each bounded draw below n
-    is getrandbits(n.bit_length()), repeated until it falls below n,
-    which is how Python 3.11's random.randrange(n) draws.
+    (default DEFAULT_WEIGHTS), else ValueError.  Each draw below n is
+    getrandbits(n.bit_length()) until one falls below n, as Python 3.11's
+    random.randrange(n) draws, so seed and weights define the script.
 
     The generator tracks queue contents as it goes so that every dk/del
     references a handle that is provably live no matter how delete-min
@@ -136,8 +135,7 @@ def generate_script(seed, n_ops, weights=None):
     weights = weights or DEFAULT_WEIGHTS
     if not all(isinstance(w, int) and w >= 0 for w in weights.values()) \
             or not sum(weights.values()):
-        raise ValueError(f"weights must be non-negative ints with a "
-                         f"positive sum, got {weights!r}")
+        raise ValueError(f"weights must be ints >= 0, not all 0: {weights!r}")
     kinds = list(weights)
     cum = list(accumulate(weights.values()))
     total = cum[-1]
@@ -151,8 +149,7 @@ def generate_script(seed, n_ops, weights=None):
     key_heap = []        # lazy min-heap over keys
     safe = []            # eids never referenced by an ambiguous delete-min,
     safe_at = {}         # each with its index in safe
-    used_keys = []
-    next_eid = 0
+    used_keys = []       # the key of each insert, by eid
 
     def below(n):
         k = n.bit_length()
@@ -191,12 +188,12 @@ def generate_script(seed, n_ops, weights=None):
                 key = used_keys[below(len(used_keys))]
             else:
                 key = getrandbits(32)
+            eid = len(used_keys)
             used_keys.append(key)
-            add_key(next_eid, key)
-            safe_at[next_eid] = len(safe)
-            safe.append(next_eid)
+            add_key(eid, key)
+            safe_at[eid] = len(safe)
+            safe.append(eid)
             ops.append(("i", key))
-            next_eid += 1
         elif kind == "dm":
             while key_heap[0] not in by_key:
                 heapq.heappop(key_heap)

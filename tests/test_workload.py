@@ -179,7 +179,7 @@ class TestGenerate:
         signal.alarm(10)
         try:
             for n_ops in (0, 100):
-                with pytest.raises(ValueError, match="non-negative ints"):
+                with pytest.raises(ValueError, match="must be ints >= 0"):
                     generate_script(0, n_ops, weights)
         finally:
             signal.alarm(0)
