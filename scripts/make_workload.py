@@ -23,7 +23,11 @@ def main():
     args = parser.parse_args()
     weights = {kind: getattr(args, f"weight_{kind.replace('-', '_')}")
                for kind in DEFAULT_WEIGHTS}
-    text = format_script(generate_script(args.seed, args.ops, weights))
+    try:
+        script = generate_script(args.seed, args.ops, weights)
+    except ValueError as exc:  # bad --weight-* values
+        parser.error(str(exc))
+    text = format_script(script)
     if args.out == "-":
         sys.stdout.write(text)
     else:

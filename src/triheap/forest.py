@@ -34,8 +34,8 @@ class FixPolicy:
     every digit <= 2, mostly by walking an op's carry chain (Forest.fix).
     relaxed spends at most relaxed_budget carries per call on digits >= 3,
     then force-fixes any digit that reached 5, keeping every digit <= 4:
-    near-constant carries per call, but a call that spends its budget then
-    visits every height from 0 up in search of a 5.
+    near-constant carries per call; a call that spends its budget then
+    looks for a 5 from its last carry up, or only in two buckets (Forest.fix).
     """
 
     mode: str = EAGER
@@ -253,8 +253,13 @@ class Forest:
           policy): it carries at the lowest height whose digit reaches the
           threshold, then resumes at the height below, the lowest one the
           carry can have pushed over.
-          The threshold is 3; under relaxed it becomes 5, and the scan
-          restarts from height 0, once relaxed_budget carries are done.
+          The threshold is 3; under relaxed it becomes 5 once
+          relaxed_budget carries are done, and the scan goes on from
+          where it stands: it passed only digits under 3, and the carry's
+          pair leaves the height below at 4 at most.  At budget 1 with
+          pending not SCAN, every digit was <= 4 before the op's one
+          filing, so only the pending height and the carry's top's can
+          hold 5; fix returns when neither does.
 
         A carry is the rearrangement step, done inline with no call: of
         the bucket's first three roots r1, r2, r3 it compares r2 < r1, then
@@ -332,8 +337,12 @@ class Forest:
                         events.append((h, -1))
                     h += 1 if walk and len(below) < 3 else -1
                 if done == budget:
-                    threshold = 5
-                    h = 0
+                    threshold = 5  # h + 2 holds the top, or 1 after singletons
+                    if (start != SCAN and budget == 1
+                            and len(roots[1 if left is None else h + 2]) < 5
+                            and (start is None or start >= n
+                                 or len(roots[start]) < 5)):
+                        break
         finally:
             counter.count += 2 * done
             if done and ledger is not None:

@@ -15,7 +15,7 @@ from triheap.errors import (ContractViolation, EmptyQueueError,
 from triheap.forest import SCAN, FixPolicy, Forest
 from triheap.ledger import PotentialLedger
 from triheap.queue import Queue
-from triheap.tree import ComparisonCounter
+from triheap.tree import ComparisonCounter, rearrange_roots
 from triheap.workload import DEFAULT_WEIGHTS, QueueRunner, generate_script
 
 from conftest import (CountedKey, assert_comparisons_recorded,
@@ -1267,8 +1267,8 @@ class WalkingQueue(Queue):
     """Notes, for every fix, pending before it, its carries and the
     number of heights it read."""
 
-    def __init__(self):
-        super().__init__()
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
         self.fixes = []
 
     def _run_fix(self):
@@ -1281,11 +1281,15 @@ class WalkingQueue(Queue):
         return carries
 
 
-@pytest.mark.parametrize("ops", [
+# Every fix after one insert or one root removal: no meld-split.
+ONE_FILING_OPS = pytest.mark.parametrize("ops", [
     sort_ops(3000, 3, 2 ** 32),
     generate_script(23, 6000,
                     dict(DEFAULT_WEIGHTS, **{"meld-split": 0})).ops,
 ], ids=["sort", "mix-without-meld-split"])
+
+
+@ONE_FILING_OPS
 def test_every_fix_after_insert_or_removal_walks(ops):
     """Insert, delete-min and delete each leave pending at a height (or
     None), never SCAN, and their fix walks: k carries read at most k + 2
@@ -1297,6 +1301,131 @@ def test_every_fix_after_insert_or_removal_walks(ops):
     assert q.fixes and SCAN not in {pending for pending, _, _ in q.fixes}
     assert max(read - carries for _, carries, read in q.fixes) <= 2
     assert q.validate() == []
+
+
+@ONE_FILING_OPS
+def test_relaxed_fix_reads_two_heights_past_its_scan(ops):
+    """Under relaxed at budget 1, a fix after one insert or one root
+    removal whose one carry, at height c, left no 5 reads heights 0 to c
+    in its scan, then at most two more: c + 1, where the top went, and
+    the pending height.  A pass for a 5 from height 0 reads them all."""
+    runner = QueueRunner()
+    runner.queue = q = WalkingQueue(policy=FixPolicy("relaxed"),
+                                    keep_events=True)
+    for op in ops:
+        runner.apply(op)
+    events = iter(q.ledger.events)
+    past = Counter()
+    for pending, carries, read in q.fixes:
+        heights = [next(events)[0] for _ in range(carries)]
+        assert pending != SCAN
+        if carries == 1:
+            past[read - heights[0] - 1] += 1
+    assert sum(past.values()) > 1000 and max(past) <= 2
+    assert q.validate() == []
+
+
+def fix_from_zero(forest, counter, ledger=None):
+    """Forest.fix's relaxed scan, with its pass for a 5 starting over at
+    height 0 once the budget is spent.  Same carries, charges and events
+    as fix; the step is tree.rearrange_roots, fix's reference."""
+    roots = forest.roots
+    forest.pending = SCAN
+    events = ledger.events if ledger is not None else None
+    threshold, h, done, singletons = 3, 0, 0, 0
+    try:
+        while h < len(roots):
+            bucket = roots[h]
+            if len(bucket) < threshold:
+                h += 1
+                continue
+            top, left, right = rearrange_roots(*bucket[:3])
+            del bucket[:3]
+            if h + 1 == len(roots):
+                roots.append([])
+            roots[h + 1].append(top)
+            done += 1
+            if left is None:
+                singletons += 1
+                if events is not None:
+                    events.append((0, 1))
+            else:
+                roots[h - 1] += left, right
+                if events is not None:
+                    events.append((h, -1))
+                h -= 1
+            if done == forest.budget:
+                threshold, h = 5, 0
+    finally:
+        counter.count += 2 * done
+        if done and ledger is not None:
+            ledger.record_rearrangement(done, 2 * singletons - done)
+    forest.pending = None
+    return done
+
+
+class FromZeroQueue(Queue):
+    """Runs every fix as fix_from_zero."""
+
+    def _run_fix(self):
+        return fix_from_zero(self.forest, self.comparator, self.ledger)
+
+
+def play_two_queues(queue_cls, seed, budget, steps=800):
+    """Random inserts (Picky keys, so some carries and scans raise),
+    delete-mins, deletes, meld-splits and melds of a separately filled
+    second queue, on two relaxed queues of queue_cls; returns, after every
+    step, the error it raised and each queue's root payloads per height in
+    bucket order, comparisons, carry events and size."""
+    r = random.Random(seed)
+    policy = FixPolicy("relaxed", relaxed_budget=budget)
+    queues = [queue_cls(policy, keep_events=True) for _ in range(2)]
+    handles = [[], []]
+    out = []
+    for serial in range(steps):
+        side = r.random() < 0.45
+        q, kind = queues[side], r.random()
+        raised = None
+        try:
+            if kind < 0.56:
+                key = r.choice((-1, 1)) if r.random() < 0.05 else \
+                    r.randrange(2, 100)
+                handles[side].append(q.insert(Picky(key), serial))
+            elif kind < 0.72 and len(q):
+                q.delete_min()
+            elif kind < 0.9 and len(q):
+                live = [h for h in handles[side] if h.node is not None]
+                q.delete(live[r.randrange(len(live))])
+            elif kind < 0.98:
+                q.meld(q.split(r.random()))
+            else:
+                other = queues[1]
+                queues[1] = queue_cls(policy, keep_events=True)
+                handles = [handles[0] + handles[1], []]
+                queues[0].meld(other)
+        except ValueError as exc:
+            raised = str(exc)
+        out.append((raised, [([[root.payload for root in bucket]
+                               for bucket in x.forest.roots],
+                              x.comparator.count, list(x.ledger.events),
+                              len(x)) for x in queues]))
+    return out
+
+
+@pytest.mark.parametrize("budget", [1, 2, 3])
+def test_relaxed_fix_carries_as_a_pass_from_height_zero(budget):
+    """fix's pass for a 5, which goes on from where the budget ran out
+    or reads only two buckets, makes the same carries in the same order
+    as fix_from_zero, with the same comparisons, also when a key's <
+    raises part way."""
+    raising = 0
+    for seed in range(10):
+        ours = play_two_queues(Queue, seed, budget)
+        theirs = play_two_queues(FromZeroQueue, seed, budget)
+        for step, pair in enumerate(zip(ours, theirs)):
+            assert pair[0] == pair[1], f"seed {seed}, step {step}"
+        raising += any(raised for raised, _ in ours)
+    assert 0 < raising < 10
 
 
 @pytest.mark.parametrize("queue_cls", [Queue, ScanningQueue])

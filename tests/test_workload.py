@@ -168,6 +168,19 @@ class TestGenerate:
         assert len(script.ops) == 50
         assert script.seed == 7
 
+    @pytest.mark.parametrize("flags", [
+        ["--weight-dm", "-1"],
+        [f"--weight-{kind}=0" for kind in DEFAULT_WEIGHTS]], ids=repr)
+    def test_make_workload_bad_weight_is_a_usage_error(self, flags):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "make_workload.py"),
+             "--ops", "5", *flags],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "error: weights must be ints >= 0" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     @pytest.mark.parametrize("weights", [
         {"i": 0}, {"i": -1}, {"i": 1.5}, {"i": 5, "dm": -1}, {"i": 2.0}],
         ids=repr)
