@@ -258,8 +258,8 @@ class Forest:
           where it stands: it passed only digits under 3, and the carry's
           pair leaves the height below at 4 at most.  At budget 1 with
           pending not SCAN, every digit was <= 4 before the op's one
-          filing, so only the pending height and the carry's top's can
-          hold 5; fix returns when neither does.
+          filing, if any, so only the pending height and the carry's
+          top's can hold 5; fix returns when neither does.
 
         A carry is the rearrangement step, done inline with no call: of
         the bucket's first three roots r1, r2, r3 it compares r2 < r1, then
