@@ -21,6 +21,8 @@ def main():
         parser.add_argument(f"--weight-{kind}", type=int, default=weight,
                             metavar="W")
     args = parser.parse_args()
+    if args.ops < 0:
+        parser.error("--ops must be >= 0")
     weights = {kind: getattr(args, f"weight_{kind.replace('-', '_')}")
                for kind in DEFAULT_WEIGHTS}
     try:

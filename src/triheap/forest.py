@@ -66,15 +66,24 @@ class Forest:
     height-h root, SCAN for anything else (a second filing, a tree above
     height 0, a meld, or a fix cut short by a raising key comparison,
     which can leave a digit over the bound).
+
+    suffix[h] is the (height, root) a scan of heights >= h picks, kept for
+    each height above stale: the highest height whose bucket or root keys
+    may have changed since scan_min last completed, -1 for none.  Every
+    mutation, Queue.decrease_key's sift included, raises it; at or above
+    the top, as in a new forest, it makes every height stale.
     """
 
-    __slots__ = ("roots", "size", "policy", "pending", "budget")
+    __slots__ = ("roots", "size", "policy", "pending", "budget", "suffix",
+                 "stale")
 
     def __init__(self, policy=None):
         self.roots = []
         self.size = 0
         self.policy = policy if policy is not None else FixPolicy()
         self.pending = None
+        self.suffix = []
+        self.stale = 0
         # fix's relaxed budget, 0 under eager; read once: policy is frozen.
         self.budget = (self.policy.relaxed_budget
                        if self.policy.mode == RELAXED else 0)
@@ -94,6 +103,8 @@ class Forest:
         roots[height].append(root)
         self.size += (1 << (height + 1)) - 1
         self.pending = 0 if height == 0 and self.pending is None else SCAN
+        if height > self.stale:
+            self.stale = height
 
     def remove_root(self, height, root):
         """Remove root, filed at height, and its element; returns the phi
@@ -102,7 +113,7 @@ class Forest:
         The root's handle dies; its two subtrees, freed, are filed at
         height - 1, left then right (tree.detach_root is the reference).
         That filing notes height - 1 in pending when nothing was pending,
-        SCAN otherwise.  No comparison; never fixes.
+        SCAN otherwise.  Raises stale to height.  No comparison; never fixes.
         """
         roots = self.roots
         roots[height].remove(root)
@@ -120,6 +131,8 @@ class Forest:
             self.pending = height - 1 if self.pending is None else SCAN
         while roots and not roots[-1]:
             roots.pop()
+        if height > self.stale:
+            self.stale = height
         self.size -= 1
         return delta
 
@@ -131,7 +144,8 @@ class Forest:
         finds the boundary bucket gives into an empty bucket per height
         below it; only the boundary bucket is sliced, every bucket above
         it moves as it is, and one pass over the moved heights sums their
-        size and phi.  into takes this forest's pending.  Cost: a few list
+        size and phi.  into takes this forest's pending and is all stale;
+        this forest's stale rises to the boundary height.  Cost: a few list
         operations per height, no comparison; never fixes.
         """
         roots = self.roots
@@ -157,6 +171,9 @@ class Forest:
         into.roots = tail
         into.size = size
         into.pending = self.pending
+        into.stale = len(tail)
+        if h > self.stale:
+            self.stale = h
         self.size -= size
         return phi
 
@@ -166,8 +183,8 @@ class Forest:
         Other's list at each height goes onto the end of this forest's list
         at that height; its lists above this forest's top are adopted as
         they are, so the trees land exactly where filing each of them with
-        add_root would put them.  Cost: one list operation per height, no
-        comparison; never fixes.
+        add_root would put them.  Every height becomes stale.  Cost: one
+        list operation per height, no comparison; never fixes.
         """
         roots = self.roots
         theirs = other.roots
@@ -176,6 +193,7 @@ class Forest:
         roots += theirs[len(roots):]
         self.size += other.size
         self.pending = SCAN
+        self.stale = len(roots)
         other.pending = None
         other.roots = []
         other.size = 0
@@ -213,24 +231,40 @@ class Forest:
     def scan_min(self, counter):
         """Find a tree with minimal root key; returns (height, root).
 
-        One pass, with no call per bucket.  Ties go to the lower height,
-        then the earlier bucket position.  Exactly (number of trees - 1) <
-        comparisons, charged to counter in bulk once the scan is done.
+        Reads heights stale to 0 from suffix[stale + 1] down, writing
+        suffix[h] at each; ties go to the lower height, then the earlier
+        bucket position.  One < per root read, less one from the top, charged
+        to counter once the scan completes, which alone sets stale to -1.
         """
-        best = best_key = None
-        h = best_h = compared = -1
-        for bucket in self.roots:
-            h += 1
-            for root in bucket:
-                compared += 1
-                if best is None:
-                    best, best_key, best_h = root, root.key, h
-                elif root.key < best_key:
-                    best, best_key, best_h = root, root.key, h
-        if best is None:
+        h = self.stale
+        suffix = self.suffix
+        if h < 0:
+            return suffix[0]
+        roots = self.roots
+        n = len(roots)
+        if h < n - 1:
+            best = suffix[h + 1]
+            key = best[1].key
+            compared = 0
+        elif n:
+            h, best, compared = n - 1, None, -1
+            suffix += [None] * (n - len(suffix))
+        else:
             raise EmptyQueueError("scan_min on an empty forest")
+        for h in range(h, -1, -1):
+            bucket = roots[h]
+            compared += len(bucket)
+            above = True  # best is from above h: a tie goes to the root
+            for root in bucket:
+                if above:
+                    if best is None or not key < root.key:
+                        best, key, above = (h, root), root.key, False
+                elif root.key < key:
+                    best, key = (h, root), root.key
+            suffix[h] = best
         counter.count += compared
-        return best_h, best
+        self.stale = -1
+        return best
 
     def fix(self, counter, ledger=None):
         """Restore the policy's digit bound; returns carries performed.
@@ -271,11 +305,12 @@ class Forest:
 
         Each carry compares its three roots before it unlinks them, so a
         key whose < raises leaves every tree in the forest, and pending at
-        SCAN.  counter is charged in bulk with 2 per completed carry, also
-        when a comparison raises.  ledger, when given, is charged once per
-        call with the carry count and their net height-sum change (-1 per
-        carry at height h >= 1, +1 per carry of three singletons), and gets
-        one (h, delta) event per carry when it keeps events.
+        SCAN.  counter is charged in bulk with 2 per completed carry, and
+        stale raised to one above the highest carry, also when a comparison
+        raises.  ledger, when given, is charged once per call with the carry
+        count and their net height-sum change (-1 per carry at height
+        h >= 1, +1 per carry of three singletons), and gets one (h, delta)
+        event per carry when it keeps events.
         """
         start = self.pending
         budget = self.budget
@@ -290,6 +325,7 @@ class Forest:
         threshold = 3
         done = 0
         singletons = 0
+        high = -1
         h = start if walk else 0
         try:
             while h < n:
@@ -310,6 +346,8 @@ class Forest:
                 else:
                     top, first, second = r1, r2, r3
                 del bucket[:3]
+                if h >= high:
+                    high = h + 1
                 left = top.left
                 right = top.right
                 top.left = first
@@ -345,6 +383,8 @@ class Forest:
                         break
         finally:
             counter.count += 2 * done
+            if high > self.stale:
+                self.stale = high
             if done and ledger is not None:
                 # +1 per carry of three singletons, -1 per other carry.
                 ledger.record_rearrangement(done, 2 * singletons - done)
@@ -352,7 +392,8 @@ class Forest:
         return done
 
     def validate(self):
-        """Diagnostics for buckets, doubly filed roots and trees, one
+        """Diagnostics for buckets, doubly filed roots, the suffix minima
+        above stale (against a scan of their own) and trees, one
         validate_tree call each."""
         problems = []
         if self.roots and not self.roots[-1]:
@@ -372,6 +413,13 @@ class Forest:
                 filed.add(root)
         if total != self.size:
             problems.append(f"size {self.size}, but trees hold {total} elements")
+        best = None
+        for h in range(len(self.roots) - 1, self.stale, -1):
+            for root in reversed(self.roots[h]):
+                if best is None or not best[1].key < root.key:
+                    best = h, root
+            if self.suffix[h:h + 1] != [best]:
+                problems.append(f"suffix[{h}] is not scan_min's choice")
         for h, bucket in enumerate(self.roots):
             for root in bucket:
                 problems.extend(validate_tree(PerfectTree(root, h)))

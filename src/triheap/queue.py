@@ -26,13 +26,8 @@ class Queue:
     ComparisonCounter of the key comparisons the queue's ops made, the
     queue's one comparison count; a ledger record keeps its op's share.
 
-    cached_min is None or the (height, root) that Forest.scan_min would
-    return right now, ties included.  It serves a read pair: find_min scans
-    the roots only when nothing is cached and caches what it found, and
-    delete_min removes the cached root, when there is one, with no scan.
-    decrease_key keeps it unless its sift reached a root other than the
-    cached one.  Every other mutation drops it: insert, delete, delete_min,
-    split, and meld on both queues.  No drop costs a comparison.
+    find_min and delete_min take the minimum from Forest.scan_min, which
+    reads only the heights changed since its last scan.
 
     Every op that opens a ledger record closes it, also when a key
     comparison raises, with the carries (counted on the ledger since the
@@ -45,14 +40,13 @@ class Queue:
     isolated and safe to use from parallel threads.
     """
 
-    __slots__ = ("comparator", "forest", "ledger", "alive", "cached_min")
+    __slots__ = ("comparator", "forest", "ledger", "alive")
 
     def __init__(self, policy=None, keep_records=False, keep_events=False):
         self.comparator = ComparisonCounter()
         self.forest = Forest(policy)
         self.ledger = PotentialLedger(keep_records, keep_events)
         self.alive = True
-        self.cached_min = None
 
     def __len__(self):
         return self.forest.size
@@ -105,22 +99,18 @@ class Queue:
 
         Forest.remove_root takes the height-h root out and files its two
         subtrees at h - 1, in one call; its phi change (h - 2, or 0 for a
-        singleton) opens the record, then carries run.  The cached minimum
-        is dropped.
+        singleton) opens the record, then carries run.
         """
-        self.cached_min = None
         self._fix_op(op, self.forest.remove_root(h, root), c0)
 
     def insert(self, key, payload=None):
         """Add an element as a fresh height-0 tree; returns its handle.
 
         The singleton contributes nothing to phi; any carries it triggers are
-        accounted separately by the fix machinery.  The cached minimum is
-        dropped.
+        accounted separately by the fix machinery.
         """
         if not self.alive:
             self._require_alive()
-        self.cached_min = None
         c0 = self.comparator.count
         node = Node(key, payload)
         handle = Handle(node)
@@ -131,14 +121,12 @@ class Queue:
     def find_min(self):
         """Return (key, payload) of a minimal element without mutating.
 
-        Scans the roots (trees - 1 comparisons) only when no minimum is
-        cached, and caches what it found; otherwise 0 comparisons.
+        Forest.scan_min reads the roots at the heights changed since its
+        last scan, one comparison each; 0 when nothing changed.
         """
         self._require_alive()
         c0 = self.comparator.count
-        if self.cached_min is None:
-            self.cached_min = self.forest.scan_min(self.comparator)
-        root = self.cached_min[1]
+        root = self.forest.scan_min(self.comparator)[1]
         if self.ledger.records is not None:
             self.ledger.record_structural("find_min", 0)
             self.ledger.finish_op(0, self.comparator.count - c0)
@@ -147,15 +135,14 @@ class Queue:
     def delete_min(self):
         """Remove and return (key, payload) of a minimal element.
 
-        The minimal root is the cached one when a minimum is cached (0 scan
-        comparisons), else found by scanning all roots; it is removed by
-        _remove_root, the path delete shares, which drops the cache.  A scan
-        that raises has moved nothing and opened no record.
+        Forest.scan_min finds the minimal root (0 comparisons right after a
+        find_min), and _remove_root, the path delete shares, removes it.  A
+        scan that raises has moved nothing and opened no record.
         """
         if not self.alive:
             self._require_alive()
         c0 = self.comparator.count
-        h, root = self.cached_min or self.forest.scan_min(self.comparator)
+        h, root = self.forest.scan_min(self.comparator)
         self._remove_root("delete_min", h, root, c0)
         return root.key, root.payload
 
@@ -169,13 +156,12 @@ class Queue:
         raising key comparison included, with the comparisons made by then
         (the increase check counts 1, before its <).  sift_up writes
         new_key only once its comparisons are done, so one that raises
-        leaves the element where it was, with its old key.  A cached
-        minimum is dropped when the sift reached a root other than the
-        cached one, and kept otherwise.
+        leaves the element where it was, with its old key.  A sift that
+        reached the root raises the forest's stale to the tree's height.
         """
         self._require_alive()
         node = self._live_node(handle)
-        _, root = self._tree_of(node)
+        h, root = self._tree_of(node)
         c0 = self.comparator.count
         keep = self.ledger.records is not None
         if keep:
@@ -185,10 +171,9 @@ class Queue:
             if node.key < new_key:
                 raise ContractViolation(
                     f"decrease_key to {new_key!r} would raise {node.key!r}")
-            top = sift_up(node, self.comparator, new_key)
-            cached = self.cached_min
-            if cached is not None and top is root and root is not cached[1]:
-                self.cached_min = None
+            if sift_up(node, self.comparator, new_key) is root and \
+                    h > self.forest.stale:
+                self.forest.stale = h
         finally:
             if keep:
                 self.ledger.finish_op(0, self.comparator.count - c0)
@@ -218,13 +203,12 @@ class Queue:
         Cost: a new queue, a tree count, Forest.split's one pass over the
         heights (only the boundary bucket is sliced) and, without records,
         ledger calls only for a nonzero moved phi; no comparison and no
-        carry.  Neither half keeps a cached minimum.
+        carry.
         """
         if not self.alive:
             self._require_alive()
         if not 0 <= fraction <= 1:
             raise ContractViolation(f"fraction {fraction!r} not in [0, 1]")
-        self.cached_min = None
         forest, ledger = self.forest, self.ledger
         keep = ledger.records is not None
         other = type(self)(policy=forest.policy, keep_records=keep,
@@ -247,7 +231,7 @@ class Queue:
         input stays valid against the result.  Cost before fixing:
         Forest.meld's one list operation per height, no comparison (the
         policies' == runs only when they are distinct objects); then the
-        carries run.  The result holds no cached minimum.  Other's
+        carries run.  Every height of the result is stale.  Other's
         ledger hands its phi over with its trees, and its counter its
         count.
         """
@@ -261,7 +245,6 @@ class Queue:
             raise ContractViolation(
                 f"meld across fix policies {policy} / {theirs}")
         c0 = self.comparator.count + other.comparator.count
-        self.cached_min = other.cached_min = None
         self.forest.meld(other.forest)
         self.comparator.count += other.comparator.count
         self.ledger.absorb(other.ledger)
@@ -270,21 +253,10 @@ class Queue:
         return self
 
     def validate(self):
-        """Diagnostics over forest structure, cached minimum and ledger.
+        """Diagnostics over forest structure and ledger.
 
         Walks every tree (perfectness, heap order, handles), a sound one
-        once, in validate_tree's fast pass, and checks the buckets, sizes
-        and digits, the cached minimum against a fresh scan on a separate
-        counter, and the ledger's phi.
+        once, in validate_tree's fast pass, and checks the buckets, sizes,
+        digits and kept suffix minima, and the ledger's phi.
         """
-        forest = self.forest
-        problems = forest.validate()
-        cached = self.cached_min
-        if cached is not None and (
-                not forest.size
-                or cached != forest.scan_min(ComparisonCounter())):
-            h, root = cached
-            problems.append(f"cached minimum {root.key!r} at height {h} "
-                            f"is not scan_min's choice")
-        problems.extend(self.ledger.audit(forest))
-        return problems
+        return self.forest.validate() + self.ledger.audit(self.forest)

@@ -77,11 +77,11 @@ class TestSort:
         assert final.n == 0
 
     @pytest.mark.parametrize("mode, comparisons",
-                             [("eager", 323_696), ("relaxed", 446_330)])
+                             [("eager", 323_284), ("relaxed", 442_432)])
     def test_run_sort_comparisons_are_pinned(self, mode, comparisons,
                                              monkeypatch):
-        """Heapsort never meets a cached minimum (inserts create none and
-        each delete-min drops it), so every delete-min scans all roots."""
+        """Inserts, carries and delete-mins leave most heights stale, so
+        most delete-min scans read every root; the rest read fewer."""
         import random
         import triheap.cli
         queues = []

@@ -521,8 +521,8 @@ class TestBucketSplice:
     """Forest.split and Forest.meld move whole buckets; these check that
     they move exactly the trees, in exactly the order, that filing each
     tree with add_root would, and that Queue.split and Queue.meld keep
-    their behavior on top of them, a split leaving neither half a cached
-    minimum."""
+    their behavior on top of them, the scan of each half of a split
+    picking what a scan of all its trees picks."""
 
     POLICIES = [FixPolicy(), FixPolicy("relaxed")]
 
@@ -569,7 +569,10 @@ class TestBucketSplice:
         if len(q):
             q.find_min()
         other = q.split(fraction)
-        assert q.cached_min is None and other.cached_min is None
+        for half in (q, other):
+            if len(half):
+                assert half.forest.scan_min(ComparisonCounter()) == \
+                    fresh_scan(half)
         kept = [(h, id(root)) for h, bucket in enumerate(q.forest.roots)
                 for root in bucket]
         gone = [(h, id(root)) for h, bucket in enumerate(other.forest.roots)
@@ -871,112 +874,196 @@ class TestSize:
 
 
 def fresh_scan(q):
-    """scan_min's choice right now, on a counter of its own."""
-    return q.forest.scan_min(ComparisonCounter())
+    """The (height, root) that a scan of every tree, bottom-up, picks: the
+    first least root in height order, then bucket order.  It reads no
+    kept minimum and counts nothing."""
+    best = None
+    for h, bucket in enumerate(q.forest.roots):
+        for root in bucket:
+            if best is None or root.key < best[1].key:
+                best = h, root
+    return best
+
+
+def stale_reads(forest):
+    """The comparisons scan_min makes now: one per root at or below stale,
+    less one when stale is at or above the top."""
+    top = len(forest.roots) - 1
+    read = sum(map(len, forest.roots[:forest.stale + 1]))
+    return read - 1 if forest.stale >= top else read
+
+
+def node_with_payload(q, payload):
+    for t in q.forest.trees():
+        for node in t.nodes():
+            if node.payload == payload:
+                return node
+
+
+class Trap(Picky):
+    """A Picky key whose < raises only while armed, so that the checks
+    below can read the trees without raising."""
+
+    __slots__ = ()
+    armed = True
+
+    def __lt__(self, other):
+        if Trap.armed:
+            return Picky.__lt__(self, other)
+        return self.value < other.value
+
+
+def disarmed(check, q):
+    Trap.armed = False
+    try:
+        return check(q)
+    finally:
+        Trap.armed = True
 
 
 class TestMinCache:
-    """Queue.cached_min is None or exactly the (height, root) that a fresh
-    scan_min returns, after every public op; find_min sets it, delete_min
-    and decrease_key read it, and every other mutation drops it."""
+    """Forest.scan_min keeps one minimum per height and reads only the
+    heights at or below stale.  Its choice is exactly a from-scratch
+    scan's, ties included, after every public op and any run of them."""
 
     POLICIES = [FixPolicy(), FixPolicy("relaxed"),
                 FixPolicy("relaxed", relaxed_budget=2)]
 
     @staticmethod
-    def filled(rng, policy, n):
+    def key(rng):
+        """-10..9, so ties are common, and 1 and -1, whose < raises
+        against each other, one time in ten."""
+        return Trap(rng.randrange(-10, 10))
+
+    @classmethod
+    def filled(cls, rng, policy, n):
         q = Queue(policy=policy)
-        handles = [q.insert(rng.randrange(8)) for _ in range(n)]
+        handles = []
+        for i in range(n):
+            try:
+                handles.append(q.insert(cls.key(rng), ~i))
+            except ValueError:  # filed; a carry raised
+                handles.append(node_with_payload(q, ~i).handle)
         if rng.random() < 0.7:
-            q.find_min()
+            try:
+                q.find_min()
+            except ValueError:
+                pass
         return q, handles
+
+    @staticmethod
+    def problems(q):
+        """validate's findings but a digit over the bound, which a raising
+        carry leaves."""
+        return [p for p in disarmed(Queue.validate, q)
+                if "exceeds bound" not in p]
 
     @pytest.mark.parametrize("policy", POLICIES, ids=str)
     @pytest.mark.parametrize("seed", range(4))
     def test_cache_is_scan_mins_choice_after_every_op(self, seed, policy):
-        # Keys start in range(8) and decrease-keys lower them by up to 8,
-        # so ties are common and many sifts reach a root.  Every path that
-        # reads the cache must run at least once.
+        # Decrease-keys lower a key within -10..9, so many sifts reach a
+        # root.  A carry or a scan that meets 1 and -1 raises part way, and
+        # every fix raises again until one of them goes, so deletes pick
+        # them first.  After every op, raised or not, validate must find the
+        # minima kept above stale sound, and half the time scan_min, on a
+        # counter of its own, must pick what fresh_scan picks; the other
+        # half lets stale heights pile up over several ops.
         rng = random.Random(seed)
         q = Queue(policy=policy)
-        live = []
+        live, gone = [], []
         foreign, foreign_handles = self.filled(rng, policy, 20)
-        paths = Counter()
-        for _ in range(3000):
+        seen = Counter()
+        for step in range(3000):
             roll = rng.random()
-            before = q.cached_min
-            if not live or roll < 0.35:
-                live.append(q.insert(rng.randrange(8)))
-                assert q.cached_min is None
-            elif roll < 0.55:
-                assert q.find_min()[0] == min(h.key for h in live)
-                assert q.cached_min is not None
-            elif roll < 0.65:
-                paths["delete_min cached"] += before is not None
-                least = min(h.key for h in live)
-                assert q.delete_min()[0] == least
-                assert q.cached_min is None
-                live = [h for h in live if h.alive]
-            elif roll < 0.8:
-                h = rng.choice(live)
-                q.decrease_key(h, h.key - rng.randrange(9))
-                if before is not None:
-                    if h.node.parent is not None:
-                        path = "dk stopped below a root"
-                    elif h.node is before[1]:
-                        path = "dk reached the cached root"
-                    else:
-                        path = "dk reached another root"
-                    kept = path != "dk reached another root"
-                    assert q.cached_min is (before if kept else None)
-                    paths[path] += 1
-            elif roll < 0.85:
-                q.delete(live.pop(rng.randrange(len(live))))
-                assert q.cached_min is None
-            elif roll < 0.88:
-                q.find_min()
-                other = q.split(rng.random())
-                assert q.cached_min is None and other.cached_min is None
-                for half in (q, other):
-                    assert half.validate() == []
-                for half in (q, other):
-                    if len(half) and rng.random() < 0.5:
-                        half.find_min()
-                q.meld(other)
-                assert q.cached_min is None and other.cached_min is None
-            elif roll < 0.9:
-                other, handles = self.filled(rng, policy, rng.randrange(1, 40))
-                q.meld(other)
-                assert q.cached_min is None and other.cached_min is None
-                live.extend(handles)
-            elif roll < 0.95:
-                h = rng.choice(live)
-                with pytest.raises(ContractViolation):
-                    q.decrease_key(h, h.key + 1)
-                assert q.cached_min is before
-            else:
-                h = rng.choice(foreign_handles)
-                with pytest.raises(ContractViolation):
-                    if roll < 0.975:
-                        q.decrease_key(h, -100)
-                    else:
-                        q.delete(h)
-                assert q.cached_min is before
-            cached = q.cached_min
-            assert cached is None or cached == fresh_scan(q)
-            assert q.validate() == []
-        assert q.validate() == [] and foreign.validate() == []
-        assert sorted(h.key for h in foreign_handles) == \
-            sorted(k for t in foreign.forest.trees() for k in t.keys())
-        assert min(paths[p] for p in (
-            "delete_min cached", "dk stopped below a root",
-            "dk reached the cached root", "dk reached another root")) > 0, \
-            paths
+            try:
+                if not live or roll < 0.3:
+                    try:
+                        live.append(q.insert(self.key(rng), step))
+                    except ValueError:  # filed; a carry raised
+                        live.append(node_with_payload(q, step).handle)
+                        raise
+                elif roll < 0.45:
+                    want = disarmed(fresh_scan, q)[1].key
+                    assert q.find_min()[0] == want
+                elif roll < 0.6:
+                    node = disarmed(fresh_scan, q)[1]
+                    h, want = node.handle, node.key
+                    try:
+                        assert q.delete_min()[0] == want
+                    finally:  # also when the fix after the removal raised
+                        if not h.alive:
+                            live.remove(h)
+                            gone.append(h)
+                elif roll < 0.75:
+                    h = rng.choice(live)
+                    value = h.key.value
+                    q.decrease_key(h, Trap(rng.randrange(-10, value + 1)))
+                    seen["dk reached a root"] += h.node.parent is None
+                elif roll < 0.8:
+                    traps = [i for i, h in enumerate(live)
+                             if h.key.value in (-1, 1)]
+                    h = live.pop(traps[0] if traps
+                                 else rng.randrange(len(live)))
+                    gone.append(h)
+                    q.delete(h)
+                elif roll < 0.83:
+                    other = q.split(rng.random())
+                    try:
+                        for half in (q, other):
+                            assert self.problems(half) == []
+                            if len(half) and rng.random() < 0.5:
+                                want = disarmed(fresh_scan, half)[1].key
+                                assert half.find_min()[0] == want
+                    finally:
+                        q.meld(other)
+                elif roll < 0.85:
+                    other, handles = self.filled(rng, policy,
+                                                 rng.randrange(1, 12))
+                    live.extend(handles)
+                    q.meld(other)
+                elif roll < 0.9:
+                    h = rng.choice(live)
+                    with pytest.raises(ContractViolation):
+                        q.decrease_key(h, Trap(h.key.value + 1))
+                elif roll < 0.95:
+                    h = rng.choice(foreign_handles)
+                    with pytest.raises(ContractViolation):
+                        if roll < 0.925:
+                            q.decrease_key(h, Trap(-100))
+                        else:
+                            q.delete(h)
+                elif gone:
+                    h = rng.choice(gone)
+                    seen["dead handle"] += 1
+                    with pytest.raises(InvalidHandleError):
+                        if roll < 0.975:
+                            q.decrease_key(h, Trap(-100))
+                        else:
+                            q.delete(h)
+            except ValueError:
+                seen["raised"] += 1
+            assert self.problems(q) == []
+            if len(q) and rng.random() < 0.5:
+                want = disarmed(fresh_scan, q)
+                try:
+                    got = q.forest.scan_min(ComparisonCounter())
+                except ValueError:
+                    seen["raised"] += 1
+                    continue
+                assert got == want, f"step {step}"
+                seen["scans compared"] += 1
+        assert sorted(h.key.value for h in foreign_handles) == \
+            sorted(k.value for t in foreign.forest.trees() for k in t.keys())
+        assert disarmed(Queue.validate, foreign) == []
+        assert min(seen[p] for p in (
+            "raised", "dk reached a root", "dead handle",
+            "scans compared")) > 10, seen
 
     def test_inconsistent_carry_drops_the_cache(self):
-        """The carry of a 5, cached before the inserts, with 7 and 9 meets
-        keys whose < lies once, on its first call, that 7 < 5: 7 adopts 5,
-        and the queue must not keep a root that is now a child."""
+        """The carry of a 5, the minimum of the last scan, with 7 and 9
+        meets keys whose < lies once, on its first call, that 7 < 5: 7
+        adopts 5, and the next scan must not pick a root that is now a
+        child."""
         calls = []
 
         class Liar(CountedKey):
@@ -991,15 +1078,33 @@ class TestMinCache:
         q.find_min()
         q.insert(Liar(7))
         q.insert(Liar(9))
-        assert calls[0] == (7, 5) and five.parent is q.forest.roots[1][0]
-        assert q.cached_min is None
+        top = q.forest.roots[1][0]
+        assert calls[0] == (7, 5) and five.parent is top
+        assert q.forest.scan_min(ComparisonCounter()) == (1, top)
         assert q.delete_min()[0] == Liar(7)
         assert q.validate() == []
 
+    def test_a_key_that_fell_inside_a_tree_comes_back_to_its_bucket(self):
+        """5 and 6 are filed at height 0, and a scan keeps 5 as the
+        minimum.  An insert of 1 carries them under 1, 6 falls to 2 there
+        (not below 1, so no root changes), and delete-min files 5 and 6
+        back at height 0: the same nodes, in the same order, in a bucket
+        that now holds a new minimum."""
+        q = Queue()
+        five, six = q.insert(5), q.insert(6)
+        assert q.find_min() == (5, None)
+        q.insert(1)
+        assert six.node.parent is q.forest.roots[1][0]
+        q.decrease_key(six, 2)
+        assert q.delete_min() == (1, None)
+        assert q.forest.roots == [[five.node, six.node]]
+        assert q.find_min() == (2, None)
+        assert q.validate() == []
+
     def test_upkeep_costs(self):
-        """Each op pays what Queue's docstring says: insert, delete, meld
-        and split each drop a cached minimum without a comparison of their
-        own (none of these carries)."""
+        """A find_min reads the roots at the heights changed since the
+        last scan, one comparison each; insert, delete, meld and split make
+        no comparison of their own (none of these carries)."""
         q = Queue(keep_records=True)
 
         def cost():
@@ -1008,14 +1113,13 @@ class TestMinCache:
         for k in range(1, 7):
             q.insert(k)  # height-1 trees 1 and 4
         zero = q.insert(0)
-        assert q.find_min() == (0, None) and cost() == 2
+        assert q.find_min() == (0, None) and cost() == 2  # every root
         q.insert(9)
-        assert q.forest.digits() == [2, 2]
-        assert cost() == 0 and q.cached_min is None
-        assert q.find_min() == (0, None) and cost() == 3
+        assert q.forest.digits() == [2, 2] and cost() == 0
+        assert q.find_min() == (0, None) and cost() == 2  # height 0: 9, 0
         q.delete(zero)
-        assert cost() == 0 and q.cached_min is None
-        assert q.find_min() == (1, None) and cost() == 2
+        assert cost() == 0
+        assert q.find_min() == (1, None) and cost() == 1  # height 0: 9
         assert q.validate() == []
 
         a, b = Queue(keep_records=True), Queue()
@@ -1025,44 +1129,37 @@ class TestMinCache:
         b.find_min()
         a.meld(b)
         assert a.ledger.records[-1].comparisons == 0
-        assert a.cached_min is None and b.cached_min is None
         assert a.find_min() == (1, None)
+        assert a.ledger.records[-1].comparisons == 1  # every root
         other = a.split(0.5)
         assert a.ledger.records[-1].comparisons == 0
-        assert a.cached_min is None and other.cached_min is None
-        assert other.find_min() == (1, None)
+        assert other.find_min() == (1, None) and a.find_min() == (2, None)
         assert a.validate() == [] and other.validate() == []
 
     def test_decrease_key_upkeep_costs(self):
-        """A tree of 10 over 20 and 30, and a singleton 5 cached as the
+        """A tree of 10 over 20 and 30, and a singleton 5 found as the
         minimum: each decrease-key pays its check and its sift and nothing
-        for the cache, which it drops when a root other than the cached
-        one got the new key."""
+        more; the next find_min reads no height after a sift that stopped
+        below a root, and the tree's height and all below it after one
+        that reached a root."""
         q = Queue(keep_records=True)
         h10, h20, h30 = (q.insert(k) for k in (10, 20, 30))
         h5 = q.insert(5)
         assert q.find_min() == (5, None)
-        cached = q.cached_min
 
-        def cost(handle, key):
-            q.decrease_key(handle, key)
-            return q.ledger.records[-1].comparisons
+        def cost(op, *args):
+            got = op(*args)
+            return got, q.ledger.records[-1].comparisons
 
-        assert cost(h30, 15) == 2  # check, sift stops below the root
-        assert q.cached_min is cached
-        assert cost(h5, 4) == 1  # check; the cached root itself
-        assert q.cached_min is cached
-        assert cost(h10, 8) == 1  # check; another root: dropped
-        assert q.cached_min is None
-        assert q.find_min() == (4, None)
-        assert cost(h20, 3) == 2  # check, one sift step; another root
-        assert q.cached_min is None
-        assert q.find_min() == (3, None)
-        cached = q.cached_min
-        assert cached == (1, h20.node) == fresh_scan(q)
-        assert cost(h10, 2) == 2  # check, one sift step to the cached root
-        assert q.cached_min is cached
-        assert cached == (1, h10.node) == fresh_scan(q)
+        assert cost(q.decrease_key, h30, 15) == (None, 2)  # check, sift
+        assert cost(q.find_min) == ((5, None), 0)
+        assert cost(q.decrease_key, h5, 4) == (None, 1)  # check; a root
+        assert cost(q.find_min) == ((4, None), 1)  # height 0 against 10
+        assert cost(q.decrease_key, h10, 8) == (None, 1)  # check; a root
+        assert cost(q.find_min) == ((4, None), 1)  # heights 1 and 0
+        assert cost(q.decrease_key, h20, 3) == (None, 2)  # one sift step
+        assert cost(q.find_min) == ((3, None), 1)
+        assert fresh_scan(q) == (1, h20.node)
         assert q.validate() == []
 
     def test_repeated_find_min_costs_nothing(self):
@@ -1078,11 +1175,35 @@ class TestMinCache:
         assert q.delete_min()[0] == 1
         rec = q.ledger.records[-1]
         assert rec.comparisons == 2 * rec.fixes
-        assert q.cached_min is None
-        trees = q.forest.tree_count()
-        assert q.delete_min()[0] == 2
-        rec = q.ledger.records[-1]
-        assert rec.comparisons == trees - 1 + 2 * rec.fixes
+
+    @pytest.mark.parametrize("policy", POLICIES, ids=str)
+    def test_scan_charges_one_comparison_per_stale_root(self, policy):
+        """Every find_min of a random mix charges exactly the < calls its
+        scan made: one per root at or below stale, less one from the top."""
+        rng = random.Random(5)
+        q = Queue(policy=policy, keep_records=True)
+        live = []
+        partial = 0
+        for _ in range(2000):
+            roll = rng.random()
+            if not live or roll < 0.5:
+                live.append(q.insert(CountedKey(rng.randrange(100))))
+            elif roll < 0.7:
+                q.delete_min()
+            elif roll < 0.8:
+                h = rng.choice(live)
+                q.decrease_key(h, CountedKey(h.key.value - rng.randrange(9)))
+            elif roll < 0.85:
+                q.meld(q.split(rng.random()))
+            live = [h for h in live if h.alive]
+            if live and rng.random() < 0.5:
+                expected = stale_reads(q.forest)
+                partial += expected < q.forest.tree_count() - 1
+                CountedKey.calls = 0
+                q.find_min()
+                assert CountedKey.calls == expected == \
+                    q.ledger.records[-1].comparisons
+        assert partial > 100
 
     def test_validate_reports_a_stale_cache(self):
         q = Queue()
@@ -1091,12 +1212,19 @@ class TestMinCache:
         q.find_min()
         assert q.validate() == []
         least, other = q.forest.roots[0]
-        q.cached_min = (0, other)
-        assert q.validate() == [
-            "cached minimum 2 at height 0 is not scan_min's choice"]
-        q.cached_min = (1, least)
-        assert q.validate() == [
-            "cached minimum 1 at height 1 is not scan_min's choice"]
+        q.forest.suffix[0] = (0, other)
+        assert q.validate() == ["suffix[0] is not scan_min's choice"]
+        q.forest.suffix[0] = (1, least)
+        assert q.validate() == ["suffix[0] is not scan_min's choice"]
+        q.forest.suffix[0] = (0, least)
+        assert q.validate() == []
+        # A mutation whose stale raise went missing: 0 joins height 0.
+        q = Queue()
+        q.insert(5)
+        q.find_min()
+        q.insert(0)
+        q.forest.stale = -1
+        assert q.validate() == ["suffix[0] is not scan_min's choice"]
 
 
 @pytest.mark.parametrize("op, keys", [
@@ -1222,11 +1350,9 @@ class ScanningQueue(Queue):
 
 def roots_and_counts(q):
     """Root keys per height in bucket order, comparisons, carries and the
-    cached minimum's height and key."""
-    cached = q.cached_min
+    forest's stale height."""
     return ([[root.key for root in bucket] for bucket in q.forest.roots],
-            q.comparator.count, q.ledger.rearrangements,
-            None if cached is None else (cached[0], cached[1].key))
+            q.comparator.count, q.ledger.rearrangements, q.forest.stale)
 
 
 def sort_ops(n, seed, key_range):
@@ -1327,12 +1453,13 @@ def test_relaxed_fix_reads_two_heights_past_its_scan(ops):
 
 def fix_from_zero(forest, counter, ledger=None):
     """Forest.fix's relaxed scan, with its pass for a 5 starting over at
-    height 0 once the budget is spent.  Same carries, charges and events
-    as fix; the step is tree.rearrange_roots, fix's reference."""
+    height 0 once the budget is spent.  Same carries, charges, events and
+    stale height as fix; the step is tree.rearrange_roots, fix's
+    reference."""
     roots = forest.roots
     forest.pending = SCAN
     events = ledger.events if ledger is not None else None
-    threshold, h, done, singletons = 3, 0, 0, 0
+    threshold, h, done, singletons, high = 3, 0, 0, 0, -1
     try:
         while h < len(roots):
             bucket = roots[h]
@@ -1341,6 +1468,7 @@ def fix_from_zero(forest, counter, ledger=None):
                 continue
             top, left, right = rearrange_roots(*bucket[:3])
             del bucket[:3]
+            high = max(high, h + 1)
             if h + 1 == len(roots):
                 roots.append([])
             roots[h + 1].append(top)
@@ -1358,6 +1486,7 @@ def fix_from_zero(forest, counter, ledger=None):
                 threshold, h = 5, 0
     finally:
         counter.count += 2 * done
+        forest.stale = max(forest.stale, high)
         if done and ledger is not None:
             ledger.record_rearrangement(done, 2 * singletons - done)
     forest.pending = None

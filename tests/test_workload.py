@@ -181,6 +181,16 @@ class TestGenerate:
         assert "error: weights must be ints >= 0" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("ops", ["-5", "-1"])
+    def test_make_workload_negative_ops_is_a_usage_error(self, ops):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "make_workload.py"),
+             "--ops", ops],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "error: --ops must be >= 0" in proc.stderr
+
     @pytest.mark.parametrize("weights", [
         {"i": 0}, {"i": -1}, {"i": 1.5}, {"i": 5, "dm": -1}, {"i": 2.0}],
         ids=repr)
@@ -248,40 +258,40 @@ class TestMeldSplit:
 # roots.
 CARRY_SCHEDULE = {
     ("default", "eager", 0):
-        (122239, 24511, 61, [2, 2, 0, 1, 1, 2, 2, 2, 2], 21934,
+        (95489, 24511, 61, [2, 2, 0, 1, 1, 2, 2, 2, 2], 21934,
          "c79c6a678907d754"),
     ("default", "eager", 1):
-        (120630, 23485, 68, [2, 2, 2, 2, 1, 2, 2, 2, 2], 21886,
+        (92913, 23485, 68, [2, 2, 2, 2, 1, 2, 2, 2, 2], 21886,
          "1a68222afb52c09a"),
     ("default", "eager", 2):
-        (121801, 24228, 44, [2, 2, 0, 1, 1, 1, 1, 1, 1, 1], 22092,
+        (95017, 24228, 44, [2, 2, 0, 1, 1, 1, 1, 1, 1, 1], 22092,
          "81150e2f5bc73235"),
     ("default", "relaxed", 0):
-        (154598, 19867, 90, [2, 2, 1, 3, 4, 4, 2, 3, 1], 21934,
+        (116232, 19867, 90, [2, 2, 1, 3, 4, 4, 2, 3, 1], 21934,
          "6a06596570710419"),
     ("default", "relaxed", 1):
-        (149510, 19298, 88, [0, 4, 2, 2, 3, 3, 3, 3, 1], 21886,
+        (111800, 19298, 88, [0, 4, 2, 2, 3, 3, 3, 3, 1], 21886,
          "03ff47bfdae77326"),
     ("default", "relaxed", 2):
-        (152024, 19515, 90, [1, 1, 4, 2, 2, 4, 3, 3, 1], 22092,
+        (113653, 19515, 90, [1, 1, 4, 2, 2, 4, 3, 3, 1], 22092,
          "8c92e3ea31e46165"),
     ("meld-split-heavy", "eager", 0):
-        (99647, 19524, 51, [2, 2, 2, 2, 0, 2, 1, 1, 2], 28448,
+        (85214, 19524, 51, [2, 2, 2, 2, 0, 2, 1, 1, 2], 28448,
          "4975ab6c16e37d94"),
     ("meld-split-heavy", "eager", 1):
-        (99510, 19480, 55, [0, 2, 2, 2, 1, 2, 1, 1, 2], 28294,
+        (84826, 19480, 55, [0, 2, 2, 2, 1, 2, 1, 1, 2], 28294,
          "5136101a80856405"),
     ("meld-split-heavy", "eager", 2):
-        (102566, 20353, 57, [1, 2, 2, 1, 2, 1, 2, 1, 2], 28324,
+        (87396, 20353, 57, [1, 2, 2, 1, 2, 1, 2, 1, 2], 28324,
          "3a56f1e6711e866c"),
     ("meld-split-heavy", "relaxed", 0):
-        (115743, 17003, 83, [4, 1, 1, 3, 4, 2, 4, 3], 28448,
+        (99236, 17003, 83, [4, 1, 1, 3, 4, 2, 4, 3], 28448,
          "138059e2a6bab939"),
     ("meld-split-heavy", "relaxed", 1):
-        (114503, 16820, 59, [1, 2, 2, 2, 1, 4, 0, 1, 2], 28294,
+        (97887, 16820, 59, [1, 2, 2, 2, 1, 4, 0, 1, 2], 28294,
          "b51fdbae090cfe4c"),
     ("meld-split-heavy", "relaxed", 2):
-        (118631, 17525, 75, [1, 3, 0, 2, 4, 2, 3, 2, 1], 28324,
+        (101396, 17525, 75, [1, 3, 0, 2, 4, 2, 3, 2, 1], 28324,
          "63d7d9ba5c60506b"),
 }
 
