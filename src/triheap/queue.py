@@ -198,12 +198,12 @@ class Queue:
 
         In height order, then bucket order, the first int(fraction * trees)
         trees stay; the rest move as they are, with no comparison, into a
-        new queue of self's type and policy.  Handles follow
-        their elements.  Each ledger records one "split" op for moved phi.
+        new queue of self's type and policy.  Handles follow their elements,
+        and the heights from the boundary down, and all the new queue's,
+        become stale.  Each ledger records one "split" op for moved phi.
         Cost: a new queue, a tree count, Forest.split's one pass over the
         heights (only the boundary bucket is sliced) and, without records,
-        ledger calls only for a nonzero moved phi; no comparison and no
-        carry.
+        ledger calls only for a nonzero moved phi; no comparison, no carry.
         """
         if not self.alive:
             self._require_alive()
