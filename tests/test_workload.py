@@ -137,6 +137,14 @@ SCRIPT_DIGESTS = {
     ("dk-del-heavy", "3-fill"): "b9988a39293a64b7",
 }
 
+# seed -> sha256 prefix of format_script(generate_script(seed, 25_000)), the
+# mixed-relaxed benchmark's script size: longer scripts reach shared keys
+# and ambiguous delete-min ties far more often than the 3,000-op ones.
+LONG_SCRIPT_DIGESTS = {
+    1: "904b1fab9c26228b",
+    2401: "a03b15adc656b634",
+}
+
 
 class TestGenerate:
 
@@ -217,6 +225,13 @@ class TestGenerate:
                 digests[name, seed] = \
                     hashlib.sha256(text.encode()).hexdigest()[:16]
         assert digests == SCRIPT_DIGESTS
+
+    def test_long_scripts_are_pinned(self):
+        digests = {
+            seed: hashlib.sha256(format_script(
+                generate_script(seed, 25_000)).encode()).hexdigest()[:16]
+            for seed in LONG_SCRIPT_DIGESTS}
+        assert digests == LONG_SCRIPT_DIGESTS
 
 
 class TestMeldSplit:
