@@ -4,7 +4,8 @@
 Usage, from anywhere inside a checkout:
 
     python3 scripts/ab.py PARENT CHANGE --seeds 1201-1210 --seconds 40 \
-        [--same-counts] [--traced 1211-1213] [--out BENCH_n.json]
+        [--same-counts] [--traced 1211-1213] [--workloads NAME[,NAME]] \
+        [--out BENCH_n.json]
 
 Both refs are exported with `git archive` into a temporary directory, so
 the repository and its .git stay as they are.  For each seed and each
@@ -12,6 +13,8 @@ workload of BENCHMARK.json it runs `perfbench/run.py --trace 0` once in
 each export, the parent first on even-numbered pairs and the change first
 on odd ones; with --traced (a seed or a range, as --seeds takes), one pair
 of --trace 1 runs per traced seed and workload follows, alternating alike.
+--workloads runs only the named workloads, in BENCHMARK.json's order; a
+name it does not list is a usage error (exit 2) before any export.
 
 The output has BENCH_10.json's summary per workload (medians, quartiles by
 statistics.quantiles(..., method="inclusive"), change_over_parent, better
@@ -237,6 +240,9 @@ def main(argv=None):
     parser.add_argument("--traced", type=parse_seeds, default=[],
                         metavar="A-B",
                         help="add one traced pair per workload and seed")
+    parser.add_argument("--workloads", type=lambda text: text.split(","),
+                        metavar="NAME[,NAME]",
+                        help="run only these workloads of BENCHMARK.json")
     parser.add_argument("--out", help="write the JSON here, not to stdout")
     args = parser.parse_args(argv)
 
@@ -244,6 +250,12 @@ def main(argv=None):
     with open(os.path.join(top, "BENCHMARK.json")) as fh:
         bench = json.load(fh)
     workloads = [w["name"] for w in bench["workloads"]]
+    if args.workloads:
+        unknown = [w for w in args.workloads if w not in workloads]
+        if unknown:
+            parser.error(f"unknown workloads {', '.join(unknown)}; "
+                         f"BENCHMARK.json has {', '.join(workloads)}")
+        workloads = [w for w in workloads if w in args.workloads]
     commits = {side: git("rev-parse", "--verify", f"{ref}^{{commit}}")
                for side, ref in zip(SIDES, (args.parent, args.change))}
     records = {side: {} for side in SIDES}

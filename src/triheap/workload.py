@@ -10,22 +10,23 @@ Script format, one operation per line, ASCII decimal keys, # for comments:
     meld-split <fraction>  split the queue's trees at the fraction point
                            (height order) into two queues and meld them back
 
-A generated script carries its seed as a "# seed=<n>" comment.
+A generated script carries its seed as a "# seed=<seed>" comment, which
+parses back to the int, or else the string, it was written from.
 """
 
 from __future__ import annotations
 
-import heapq
 import random
 import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from itertools import accumulate
 
 from .errors import HeapError
 from .queue import Queue
 
-_SEED_RE = re.compile(r"#\s*seed\s*=\s*(\d+)")
+_SEED_RE = re.compile(r"#\s*seed\s*=\s*(?:(-?[0-9]+)(?!\S)|(\S+))")
 
 
 class ScriptParseError(HeapError):
@@ -37,7 +38,7 @@ class WorkloadScript:
     """An ordered list of op tuples plus the seed that generated them."""
 
     ops: list = field(default_factory=list)
-    seed: int | None = None
+    seed: int | str | None = None
 
     def __len__(self):
         return len(self.ops)
@@ -56,7 +57,7 @@ def parse_script(text):
             if seed is None:
                 m = _SEED_RE.search(line)
                 if m is not None:
-                    seed = int(m.group(1))
+                    seed = int(m[1]) if m[1] else m[2]
             line = line.split("#", 1)[0]
         fields = line.split()
         if not fields:
@@ -121,109 +122,127 @@ KEY_REUSE_RATE = 0.10  # forced duplicate keys, to exercise tie paths
 def generate_script(seed, n_ops, weights=None):
     """Generate a random mixed workload of n_ops operations.
 
-    weights maps op kinds to non-negative ints with a positive sum
-    (default DEFAULT_WEIGHTS), else ValueError.  Each draw below n is
-    getrandbits(n.bit_length()) until one falls below n, as Python 3.11's
-    random.randrange(n) draws, so seed and weights define the script.
+    weights maps op kinds of DEFAULT_WEIGHTS to non-negative ints with a
+    positive sum (default DEFAULT_WEIGHTS), else ValueError before any
+    draw.  Each draw below n is getrandbits(n.bit_length()) until one falls
+    below n, as Python 3.11's random.randrange(n) draws, so seed and
+    weights define the script.
 
     The generator tracks queue contents as it goes so that every dk/del
     references a handle that is provably live no matter how delete-min
     breaks key ties: whenever the minimum key is shared, all its holders
     leave the referencable pool at once.  Ops that need elements fall back
-    to inserts while the queue is empty.
+    to inserts while the queue is empty.  One loop does it all with no
+    Python call per op; by_key maps a key to the eid that holds it, or to
+    a set only while the key is shared, so an insert allocates no set.
     """
     weights = weights or DEFAULT_WEIGHTS
+    if unknown := [kind for kind in weights if kind not in DEFAULT_WEIGHTS]:
+        raise ValueError(f"unknown op kinds: {unknown!r}")
     if not all(isinstance(w, int) and w >= 0 for w in weights.values()) \
             or not sum(weights.values()):
         raise ValueError(f"weights must be ints >= 0, not all 0: {weights!r}")
     kinds = list(weights)
     cum = list(accumulate(weights.values()))
     total = cum[-1]
+    total_bits = total.bit_length()
     rng = random.Random(seed)
     getrandbits = rng.getrandbits
     rand = rng.random
 
     ops = []
+    append = ops.append
     live = {}            # eid -> key, full population
-    by_key = {}          # key -> set of eids holding it
+    by_key = {}          # key -> the eid holding it, or a set of 2+ eids
     key_heap = []        # lazy min-heap over keys
     safe = []            # eids never referenced by an ambiguous delete-min,
     safe_at = {}         # each with its index in safe
     used_keys = []       # the key of each insert, by eid
 
-    def below(n):
-        k = n.bit_length()
-        r = getrandbits(k)
-        while r >= n:
-            r = getrandbits(k)
-        return r
-
-    def unsafe(eid):
-        i = safe_at.pop(eid, None)
-        if i is not None:
-            last = safe.pop()
-            if last != eid:
-                safe[i] = last
-                safe_at[last] = i
-
-    def add_key(eid, key):
-        live[eid] = key
-        by_key.setdefault(key, set()).add(eid)
-        heapq.heappush(key_heap, key)
-
-    def drop_key(eid):
-        key = live.pop(eid)
-        by_key[key].discard(eid)
-        if not by_key[key]:
-            del by_key[key]
-
     for _ in range(n_ops):
-        kind = kinds[bisect_right(cum, below(total))]
-        if kind in ("dm", "fm", "meld-split") and not live or \
-                kind in ("dk", "del") and not safe:
-            kind = "i"
-
-        if kind == "i":
+        r = getrandbits(total_bits)
+        while r >= total:
+            r = getrandbits(total_bits)
+        kind = kinds[bisect_right(cum, r)]
+        # safe is a subset of live, so a nonempty safe serves every kind.
+        if kind == "i" or not safe and (
+                not live or kind == "dk" or kind == "del"):
             if used_keys and rand() < KEY_REUSE_RATE:
-                key = used_keys[below(len(used_keys))]
+                n = len(used_keys)
+                r = getrandbits(n.bit_length())
+                while r >= n:
+                    r = getrandbits(n.bit_length())
+                key = used_keys[r]
             else:
                 key = getrandbits(32)
             eid = len(used_keys)
             used_keys.append(key)
-            add_key(eid, key)
             safe_at[eid] = len(safe)
             safe.append(eid)
-            ops.append(("i", key))
+            append(("i", key))
         elif kind == "dm":
             while key_heap[0] not in by_key:
-                heapq.heappop(key_heap)
-            holders = by_key[key_heap[0]]
-            if len(holders) == 1:
-                victim, = holders
-            else:
+                heappop(key_heap)
+            key = key_heap[0]
+            held = by_key.pop(key)
+            if type(held) is set:
                 # Ambiguous tie: the implementation may remove any of these,
                 # so none may be referenced again.
-                victim = min(holders)
-                for eid in sorted(holders):
-                    unsafe(eid)
-            unsafe(victim)
-            drop_key(victim)
-            ops.append(("dm",))
+                tied = sorted(held)
+                victim = tied[0]
+                held.discard(victim)
+                by_key[key] = held if len(held) > 1 else held.pop()
+            else:
+                victim = held
+                tied = (held,)
+            for eid in tied:
+                i = safe_at.pop(eid, None)
+                if i is not None:
+                    last = safe.pop()
+                    if last != eid:
+                        safe[i] = last
+                        safe_at[last] = i
+            del live[victim]
+            append(("dm",))
+            continue
         elif kind == "fm":
-            ops.append(("fm",))
-        elif kind == "dk":
-            eid = safe[below(len(safe))]
-            new_key = live[eid] - below((1 << 20) + 1)
-            drop_key(eid)
-            add_key(eid, new_key)
-            ops.append(("dk", eid, new_key))
-        elif kind == "del":
-            eid = safe[below(len(safe))]
-            unsafe(eid)
-            drop_key(eid)
-            ops.append(("del", eid))
-        else:
-            ops.append(("meld-split", round(rand(), 3)))
+            append(("fm",))
+            continue
+        elif kind == "meld-split":
+            append(("meld-split", round(rand(), 3)))
+            continue
+        else:  # dk or del, of a handle drawn from safe
+            n = len(safe)
+            i = getrandbits(n.bit_length())
+            while i >= n:
+                i = getrandbits(n.bit_length())
+            eid = safe[i]
+            key = live.pop(eid)
+            held = by_key.pop(key)
+            if type(held) is set:
+                held.discard(eid)
+                by_key[key] = held if len(held) > 1 else held.pop()
+            if kind == "del":
+                del safe_at[eid]
+                last = safe.pop()
+                if last != eid:
+                    safe[i] = last
+                    safe_at[last] = i
+                append(("del", eid))
+                continue
+            r = getrandbits(21)  # a drop below 2**20 + 1, of 21 bits
+            while r > 1 << 20:
+                r = getrandbits(21)
+            key -= r
+            append(("dk", eid, key))
+        # An insert or a decrease-key: eid now holds key.
+        live[eid] = key
+        held = by_key.setdefault(key, eid)
+        if type(held) is set:
+            held.add(eid)
+        elif held != eid:
+            by_key[key] = {held, eid}
+        heappush(key_heap, key)
     return WorkloadScript(ops, seed)
 
 

@@ -173,16 +173,16 @@ def test_verdict_fails_on_a_failed_traced_run():
 GIT = ["git", "-c", "user.name=ab", "-c", "user.email=ab@localhost"]
 
 
-def bench_repo(tmp_path):
+def bench_repo(tmp_path, workloads=("sort-eager",)):
     """A repository of its own holding this tree's src/ and perfbench/ and
-    a BENCHMARK.json trimmed to sort-eager, with nothing committed yet."""
+    a BENCHMARK.json trimmed to workloads, with nothing committed yet."""
     repo = tmp_path / "repo"
     for part in ("src", "perfbench"):
         shutil.copytree(ROOT / part, repo / part,
                         ignore=shutil.ignore_patterns("__pycache__", "out"))
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     bench["workloads"] = [w for w in bench["workloads"]
-                          if w["name"] == "sort-eager"]
+                          if w["name"] in workloads]
     (repo / "BENCHMARK.json").write_text(json.dumps(bench))
     subprocess.run(GIT + ["init", "-q"], cwd=repo, check=True)
     return repo
@@ -261,6 +261,47 @@ def test_planted_extra_comparison_fails_same_counts(tmp_path):
         f"{pair['change']}"]
     assert [line for line in failures if "comparisons_per_op" not in line
             and not line.split(": ")[1].startswith(WALL_METRICS)] == []
+
+
+def test_workloads_runs_only_the_named_ones(tmp_path):
+    """--workloads with one of a BENCHMARK.json's two workloads: only its
+    pair runs, and only it is summarized."""
+    repo = bench_repo(tmp_path, ("sort-eager", "verify-audit"))
+    commit_all(repo, "tree")
+    out = tmp_path / "ab.json"
+    proc = run_ab(repo, "HEAD", "HEAD", "--seeds", "1-1", "--seconds", "0",
+                  "--workloads", "verify-audit", "--out", out)
+    doc = json.loads(out.read_text())
+    assert proc.returncode == (1 if doc["verdict"]["failures"] else 0)
+    assert list(doc["summary"]) == ["verify-audit"]
+    assert doc["summary"]["verify-audit"]["failed_ops"] == {"parent": 0,
+                                                           "change": 0}
+    for side in ab.SIDES:
+        assert list(doc["records"][side]) == ["verify-audit.seed1.trace0"]
+
+
+@pytest.mark.parametrize("names", ["nope", "sort-eager,mixed-relaxed"])
+def test_unknown_workload_is_a_usage_error_before_any_export(tmp_path,
+                                                             names):
+    """A --workloads name that BENCHMARK.json does not list (the bench
+    repository lists only sort-eager): exit 2 naming it, before any run,
+    with nothing left in TMPDIR and no output written."""
+    repo = bench_repo(tmp_path)
+    commit_all(repo, "tree")
+    tmp = tmp_path / "tmp"
+    tmp.mkdir()
+    out = tmp_path / "ab.json"
+    proc = subprocess.run(
+        [sys.executable, ROOT / "scripts" / "ab.py", "HEAD", "HEAD",
+         "--seeds", "1-1", "--seconds", "0", "--workloads", names,
+         "--out", out],
+        cwd=repo, capture_output=True, text=True, timeout=60,
+        env={**os.environ, "TMPDIR": str(tmp)})
+    assert proc.returncode == 2 and proc.stdout == ""
+    unknown = names.split(",")[-1]
+    assert f"error: unknown workloads {unknown};" in proc.stderr
+    assert "# 1/" not in proc.stderr
+    assert list(tmp.iterdir()) == [] and not out.exists()
 
 
 def test_sigterm_removes_the_exports_and_stops_the_child(tmp_path):

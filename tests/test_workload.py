@@ -47,6 +47,16 @@ class TestParse:
             assert parse_script(format_script(script)).ops == script.ops
             assert parse_script(format_script(script)).seed == 4
 
+    @pytest.mark.parametrize("seed", ["3-fill", "0:1000:mixed", -5])
+    def test_seed_survives_the_text(self, seed):
+        """The string seeds of perfbench's verify-audit fill and of
+        `triheap bench`'s mix, and a negative int, parse back as written,
+        so the parsed seed regenerates the same ops."""
+        script = generate_script(seed, 300)
+        parsed = parse_script(format_script(script))
+        assert parsed.seed == seed
+        assert generate_script(parsed.seed, 300).ops == script.ops
+
     def test_unknown_op_rejected(self):
         with pytest.raises(ScriptParseError):
             parse_script("pop 3\n")
@@ -211,6 +221,23 @@ class TestGenerate:
         try:
             for n_ops in (0, 100):
                 with pytest.raises(ValueError, match="must be ints >= 0"):
+                    generate_script(0, n_ops, weights)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, old)
+
+    @pytest.mark.parametrize("weights", [
+        {"foo": 1}, {"i": 1, "DM": 3}, {"i": 1, "dm": 0, "meld_split": 2}],
+        ids=repr)
+    def test_unknown_weight_kinds_raise_before_any_draw(self, weights):
+        def expire(signum, frame):
+            raise TimeoutError("generate_script did not return")
+
+        old = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(10)
+        try:
+            for n_ops in (0, 100):
+                with pytest.raises(ValueError, match="unknown op kinds"):
                     generate_script(0, n_ops, weights)
         finally:
             signal.alarm(0)
