@@ -13,8 +13,8 @@ from .errors import ContractViolation, InvalidHandleError
 from .forest import Forest
 from .ledger import PotentialLedger
 # Forest.remove_root inlines detach_root; the traced run wraps it here.
-from .tree import (ComparisonCounter, Handle, Node, detach_root,
-                   sift_to_root, sift_up)
+from .tree import (ComparisonCounter, Node, detach_root, sift_to_root,
+                   sift_up)
 
 
 class Queue:
@@ -55,22 +55,20 @@ class Queue:
         if not self.alive:
             raise ContractViolation("queue was already consumed by meld")
 
-    def _live_node(self, handle):
-        node = handle.node
+    def _locate(self, handle):
+        """Locate handle's element: returns (node, height, root) of it and
+        its tree.
+
+        Raises InvalidHandleError for a dead handle, and ContractViolation,
+        from Forest.find_root, for one of another queue; nothing has been
+        compared or moved by then.
+        """
+        node = root = handle.node
         if node is None:
             raise InvalidHandleError("handle's element was already removed")
-        return node
-
-    def _tree_of(self, node):
-        """Locate the tree holding node: returns (height, root).
-
-        Raises ContractViolation when node belongs to another queue; nothing
-        has been compared or moved by then.
-        """
-        root = node
         while root.parent is not None:
             root = root.parent
-        return self.forest.find_root(root)[0], root
+        return node, self.forest.find_root(root)[0], root
 
     def _run_fix(self):
         return self.forest.fix(self.comparator, self.ledger)
@@ -94,15 +92,6 @@ class Queue:
             ledger.finish_op(ledger.rearrangements - r0,
                              self.comparator.count - c0)
 
-    def _remove_root(self, op, h, root, c0):
-        """The one root-removal path, shared by delete_min and delete.
-
-        Forest.remove_root takes the height-h root out and files its two
-        subtrees at h - 1, in one call; its phi change (h - 2, or 0 for a
-        singleton) opens the record, then carries run.
-        """
-        self._fix_op(op, self.forest.remove_root(h, root), c0)
-
     def insert(self, key, payload=None):
         """Add an element as a fresh height-0 tree; returns its handle.
 
@@ -113,10 +102,9 @@ class Queue:
             self._require_alive()
         c0 = self.comparator.count
         node = Node(key, payload)
-        handle = Handle(node)
         self.forest.add_root(node, 0)
         self._fix_op("insert", 0, c0)
-        return handle
+        return node.handle
 
     def find_min(self):
         """Return (key, payload) of a minimal element without mutating.
@@ -136,14 +124,16 @@ class Queue:
         """Remove and return (key, payload) of a minimal element.
 
         Forest.scan_min finds the minimal root (0 comparisons right after a
-        find_min), and _remove_root, the path delete shares, removes it.  A
-        scan that raises has moved nothing and opened no record.
+        find_min), and Forest.remove_root, the one removal step, which
+        delete shares, takes it out and files its two subtrees; its phi
+        change opens the record, then carries run.  A scan that raises has
+        moved nothing and opened no record.
         """
         if not self.alive:
             self._require_alive()
         c0 = self.comparator.count
         h, root = self.forest.scan_min(self.comparator)
-        self._remove_root("delete_min", h, root, c0)
+        self._fix_op("delete_min", self.forest.remove_root(h, root), c0)
         return root.key, root.payload
 
     def decrease_key(self, handle, new_key):
@@ -160,8 +150,7 @@ class Queue:
         reached the root raises the forest's stale to the tree's height.
         """
         self._require_alive()
-        node = self._live_node(handle)
-        h, root = self._tree_of(node)
+        node, h, root = self._locate(handle)
         c0 = self.comparator.count
         keep = self.ledger.records is not None
         if keep:
@@ -187,11 +176,10 @@ class Queue:
         is removed by the same path as in delete_min.
         """
         self._require_alive()
-        node = self._live_node(handle)
+        node, h, root = self._locate(handle)
         c0 = self.comparator.count
-        h, root = self._tree_of(node)
         sift_to_root(node)
-        self._remove_root("delete", h, root, c0)
+        self._fix_op("delete", self.forest.remove_root(h, root), c0)
 
     def split(self, fraction):
         """Move the trees past the fraction point into a new queue; returns it.
@@ -257,6 +245,7 @@ class Queue:
 
         Walks every tree (perfectness, heap order, handles), a sound one
         once, in validate_tree's fast pass, and checks the buckets, sizes,
-        digits and kept suffix minima, and the ledger's phi.
+        digits and kept suffix minima, and the ledger's phi.  A key whose <
+        raises is reported, not raised.
         """
         return self.forest.validate() + self.ledger.audit(self.forest)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 
 class Node:
-    """One stored element, linked to parent/children and its owning handle."""
+    """One stored element, linked to parent/children and to its handle."""
 
     __slots__ = ("key", "payload", "parent", "left", "right", "handle")
 
@@ -30,7 +30,8 @@ class Node:
         self.parent = None
         self.left = None
         self.right = None
-        self.handle = None
+        handle = self.handle = Handle()
+        handle.node = self
 
     def __repr__(self):
         return f"Node({self.key!r})"
@@ -39,16 +40,13 @@ class Node:
 class Handle:
     """Stable external reference to one element.
 
-    The handle keeps pointing at its element across rearrangements and
-    sift-ups (content swaps repoint it).  Once the element is removed the
-    handle is dead for good; dead handles are never reused.
+    Node makes it with its element.  The handle keeps pointing at its
+    element across rearrangements and sift-ups (content swaps repoint it).
+    Once the element is removed the handle is dead for good; dead handles
+    are never reused.
     """
 
     __slots__ = ("node",)
-
-    def __init__(self, node):
-        self.node = node
-        node.handle = self
 
     @property
     def alive(self):
@@ -231,9 +229,9 @@ def validate_tree(t):
     Checks perfectness (both-or-no children, all leaves at depth h, node
     count 2**(h+1) - 1), heap order on every edge (no child's key < its
     parent's), parent/child link symmetry, and handle back-reference
-    consistency.  Its comparisons are counted nowhere.  Reports, and raises
-    only what a key's < raises; linear time, meant for tests and debug
-    auditing only.
+    consistency.  Its comparisons are counted nowhere.  Reports, never
+    raises, also when a key's < raises; linear time, meant for tests and
+    debug auditing only.
 
     A sound tree is walked once, by the fast pass (_is_sound).  Only a
     tree that fails it is walked again (_report_tree) for its messages,
@@ -248,7 +246,7 @@ def validate_tree(t):
     try:
         if _is_sound(root, t.height):
             return []
-    except AttributeError:  # if a key's < raised it, it is raised again below
+    except Exception:  # a None link, or a key's <: the walk reports either
         pass
     return _report_tree(root, t.height)
 
@@ -345,10 +343,15 @@ def _report_node(node, depth, height, problems, seen, below):
         if child.parent is not node:
             problems.append(
                 f"child {child.key!r} does not link back to {node.key!r}")
-        if child.key < node.key:
+        try:
+            if child.key < node.key:
+                problems.append(
+                    f"heap order broken: child {child.key!r} under parent "
+                    f"{node.key!r}")
+        except Exception as exc:
             problems.append(
-                f"heap order broken: child {child.key!r} under parent "
-                f"{node.key!r}")
+                f"key comparison raised {type(exc).__name__} at child "
+                f"{child.key!r} under {node.key!r}")
         if child not in seen:
             seen.add(child)
             below.append(child)

@@ -11,7 +11,9 @@ Script format, one operation per line, ASCII decimal keys, # for comments:
                            (height order) into two queues and meld them back
 
 A generated script carries its seed as a "# seed=<seed>" comment, which
-parses back to the int, or else the string, it was written from.
+parses back to the int, or else the string, it was written from.  A string
+seed whose bare text would read back as something else, such as "5" (an
+int), is written in quotes: # seed="5".
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from itertools import accumulate
 from .errors import HeapError
 from .queue import Queue
 
-_SEED_RE = re.compile(r"#\s*seed\s*=\s*(?:(-?[0-9]+)(?!\S)|(\S+))")
+_SEED_RE = re.compile(r'#\s*seed\s*=\s*(?:"(.*)"|(-?[0-9]+)(?!\S)|(\S+))')
 
 
 class ScriptParseError(HeapError):
@@ -47,6 +49,15 @@ class WorkloadScript:
         return iter(self.ops)
 
 
+def _seed_of(line):
+    """The seed of line's "# seed=" comment, or None when it has none."""
+    m = _SEED_RE.search(line)
+    if m is None:
+        return None
+    quoted, number, bare = m.groups()
+    return quoted if quoted is not None else int(number) if number else bare
+
+
 def parse_script(text):
     """Parse script text into a WorkloadScript; raises ScriptParseError."""
     ops = []
@@ -55,9 +66,7 @@ def parse_script(text):
     for lineno, line in enumerate(text.splitlines(), 1):
         if "#" in line:
             if seed is None:
-                m = _SEED_RE.search(line)
-                if m is not None:
-                    seed = int(m[1]) if m[1] else m[2]
+                seed = _seed_of(line)
             line = line.split("#", 1)[0]
         fields = line.split()
         if not fields:
@@ -100,8 +109,12 @@ def parse_script(text):
 def format_script(script):
     """Render a WorkloadScript back to its text form."""
     lines = [" ".join(map(str, op)) for op in script.ops]
-    if script.seed is not None:
-        lines.insert(0, f"# seed={script.seed}")
+    seed = script.seed
+    if seed is not None:
+        text = f"# seed={seed}"
+        if isinstance(seed, str) and _seed_of(text) != seed:
+            text = f'# seed="{seed}"'
+        lines.insert(0, text)
     return "\n".join(lines) + "\n"
 
 

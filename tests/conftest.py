@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from triheap.tree import Handle, Node, PerfectTree
+from triheap.tree import Node, PerfectTree
 
 
 class CountedKey:
@@ -50,9 +50,7 @@ def perfect_size(height):
 
 def singleton(key, payload=None):
     """A height-0 root with a fresh live handle, as Queue.insert makes one."""
-    node = Node(key, payload)
-    Handle(node)
-    return node
+    return Node(key, payload)
 
 
 def build_perfect_heap(keys, rng=None):

@@ -19,7 +19,7 @@ from triheap.tree import ComparisonCounter, rearrange_roots
 from triheap.workload import DEFAULT_WEIGHTS, QueueRunner, generate_script
 
 from conftest import (CountedKey, assert_comparisons_recorded,
-                      build_perfect_heap)
+                      build_perfect_heap, perfect_size)
 from test_workload import MELD_SPLIT_HEAVY
 
 
@@ -860,6 +860,34 @@ class TestDelete:
         assert len(q) == len(shadow)
 
 
+def test_locate_maps_each_handle_to_its_node_and_tree(rng):
+    """Queue._locate, on two trees of each height 0-5: a handle at every
+    depth maps to its node and to its tree's height and root.  A live
+    handle of another queue's tree of equal height raises
+    ContractViolation, and a dead one InvalidHandleError, with no key
+    compared."""
+    q, other = Queue(), Queue()
+    for h in range(6):
+        for queue in (q, q, other):
+            keys = map(CountedKey, range(perfect_size(h)))
+            queue.forest.add_root(build_perfect_heap(list(keys), rng).root, h)
+    CountedKey.calls = 0
+    for t in q.forest.trees():
+        for node in t.nodes():
+            assert q._locate(node.handle) == (node, t.height, t.root)
+    for t in other.forest.trees():
+        for node in t.nodes():
+            with pytest.raises(ContractViolation):
+                q._locate(node.handle)
+    assert CountedKey.calls == q.comparator.count == 0
+    dead = q.forest.roots[0][0].handle
+    q.delete(dead)
+    calls = CountedKey.calls
+    with pytest.raises(InvalidHandleError):
+        q._locate(dead)
+    assert CountedKey.calls == calls
+
+
 class TestSize:
 
     def test_counts(self):
@@ -1225,6 +1253,27 @@ class TestMinCache:
         q.insert(0)
         q.forest.stale = -1
         assert q.validate() == ["suffix[0] is not scan_min's choice"]
+
+    @pytest.mark.parametrize("values, message", [
+        ([-1, 1, 2, 3, 4, 5, 6],
+         "key comparison raised ValueError at child 1 under -1"),
+        ([1, 2, 3, 4, 5, 6, -1],
+         "key comparison raised ValueError at root -1, checking suffix[0]"),
+    ], ids=["tree", "suffix"])
+    def test_validate_reports_a_raising_key(self, values, message):
+        """Seven keys, filled and scanned disarmed; armed, 1 and -1 meet
+        on a tree's edge or in the suffix check, and validate reports the
+        raising < instead of raising it."""
+        q = Queue()
+        Trap.armed = False
+        try:
+            for v in values:
+                q.insert(Trap(v))
+            q.find_min()
+        finally:
+            Trap.armed = True
+        assert q.validate() == [message]
+        assert disarmed(Queue.validate, q) == []
 
 
 @pytest.mark.parametrize("op, keys", [

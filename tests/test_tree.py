@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from triheap import Queue, tree as tree_module
-from triheap.tree import (ComparisonCounter, Handle, Node, PerfectTree,
-                          detach_root, rearrange_roots, sift_to_root, sift_up,
+from triheap.tree import (ComparisonCounter, Node, PerfectTree, detach_root,
+                          rearrange_roots, sift_to_root, sift_up,
                           validate_tree)
 
 from conftest import (CountedKey, build_perfect_heap, link_snapshot,
@@ -42,7 +42,7 @@ class TestMakeSingleton:
 
     def test_basic(self):
         node = Node(7)
-        handle = Handle(node)
+        handle = node.handle
         t = PerfectTree(node, 0)
         assert t.height == 0
         assert t.size == 1
@@ -337,7 +337,7 @@ def _no_handle(t, node, depth):
 
 
 def _handle_elsewhere(t, node, depth):
-    node.handle = Handle(Node(-1))
+    node.handle = Node(-1).handle
     return [f"handle of node {node.key!r} points elsewhere"]
 
 
@@ -386,7 +386,6 @@ def _hang_leaves(t, node, sides):
     """Hang a fresh leaf under node on each of these sides, keyed from 100."""
     for key, side in enumerate(sides, 100):
         child = Node(key)
-        Handle(child)
         child.parent = node
         setattr(node, side, child)
     return [f"leaf {key} at depth {t.height + 1}, expected {t.height}"

@@ -47,13 +47,21 @@ class TestParse:
             assert parse_script(format_script(script)).ops == script.ops
             assert parse_script(format_script(script)).seed == 4
 
-    @pytest.mark.parametrize("seed", ["3-fill", "0:1000:mixed", -5])
+    @pytest.mark.parametrize("seed", [
+        "3-fill", "0:1000:mixed", -5, pytest.param(5, id="int-5"),
+        pytest.param("5", id="str-5"), "-3", "007", '"5"'])
     def test_seed_survives_the_text(self, seed):
         """The string seeds of perfbench's verify-audit fill and of
-        `triheap bench`'s mix, and a negative int, parse back as written,
-        so the parsed seed regenerates the same ops."""
+        `triheap bench`'s mix, ints, and string seeds that bare would read
+        back as an int or lose their quotes parse back as written, so the
+        parsed seed regenerates the same ops.  Only the last kind is
+        written in quotes."""
         script = generate_script(seed, 300)
-        parsed = parse_script(format_script(script))
+        text = format_script(script)
+        quoted = seed in ("5", "-3", "007", '"5"')
+        assert text.startswith(f'# seed="{seed}"\n' if quoted
+                               else f"# seed={seed}\n")
+        parsed = parse_script(text)
         assert parsed.seed == seed
         assert generate_script(parsed.seed, 300).ops == script.ops
 
