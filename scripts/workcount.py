@@ -133,7 +133,7 @@ def count(sizes):
         totals = dict(zip(FIGURES, (opcodes, calls, sum(c_calls.values()))))
         by_callee = Counter()
         for callee, n in c_calls.items():
-            by_callee[getattr(callee, "__qualname__", repr(callee))] += n
+            by_callee[callee.__qualname__] += n
         result[name] = {
             "ops": ops,
             **totals,
